@@ -225,7 +225,6 @@ def measure_traced(workload, first, seconds, tally):
             tally.problems.append("traced and untraced outputs differ")
         if time.perf_counter() >= deadline:
             break
-    os.makedirs(OUTDIR, exist_ok=True)
     with open(os.path.join(OUTDIR, f"spans-{workload.name}.jsonl"), "w") as fh:
         for span in batches[-1]:
             fh.write(json.dumps(span._asdict()) + "\n")

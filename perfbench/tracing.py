@@ -9,7 +9,6 @@ the originals are put back when the ``installed`` block ends.
 import contextlib
 import functools
 import inspect
-import statistics
 import sys
 import time
 from typing import NamedTuple
