@@ -44,17 +44,18 @@ def main(argv):
     sets = [load(p) for p in argv]
     for name in sets[0]:
         cols = []
+        print(f"{name:36s}", end="")
         for values in sets:
             med, q1, q3, spread = summary(values.get(name) or [float("nan")])
             cols.append(med)
-            print(f"{name:40s} median {med:12.6g}  q1 {q1:12.6g}  q3 {q3:12.6g}  spread {spread:7.4f}", end="")
+            print(f" | median {med:10.5g} q1 {q1:10.5g} q3 {q3:10.5g} spread {spread:6.4f}", end="")
         if len(sets) == 2 and cols[0]:
             ratio = cols[1] / cols[0]
             verdict = ""
             if name in declared:
                 worse = ratio - 1 if declared[name]["better"] == "lower" else 1 - ratio
                 verdict = "  WORSE than bound" if worse > declared[name]["bound"] else "  within bound"
-            print(f"  change/base {ratio:8.4f}{verdict}", end="")
+            print(f" | change/base {ratio:7.4f}{verdict}", end="")
         print()
     return 0
 
