@@ -12,10 +12,7 @@ __version__ = "0.1.0"
 from .model import (
     CsaParams,
     FracParams,
-    MaCoefficients,
-    acf_csa,
     acf_csa_lags,
-    acf_frac,
     acf_frac_lags,
     csa_ma_coeffs,
     csa_spectrum_at_zero,
@@ -47,7 +44,6 @@ __all__ = [
     "__version__",
     "CsaParams",
     "FracParams",
-    "MaCoefficients",
     "SeriesSample",
     "ForecastResult",
     "EfficiencyReport",
@@ -57,9 +53,7 @@ __all__ = [
     "ExperimentResult",
     "ConvergenceError",
     "PfqSpec",
-    "acf_csa",
     "acf_csa_lags",
-    "acf_frac",
     "acf_frac_lags",
     "approximation_loss",
     "benchmark_generation",

@@ -7,8 +7,8 @@ written to a temporary name and atomically renamed.
 """
 
 import json
-import os
-import sys
+import math
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -21,7 +21,13 @@ from .fitloss import (
     zeta_fractional,
 )
 from .forecast import forecast_csa
-from .harness import ExperimentConfig, run_experiment, resolve_workers
+from .harness import (
+    ExperimentConfig,
+    params_to_dict,
+    resolve_workers,
+    run_experiment,
+    write_rows,
+)
 from .model import (
     CsaParams,
     FracParams,
@@ -33,26 +39,6 @@ from .simulate import benchmark_generation, generate_csa_fast, generate_csa_naiv
 from .specfun import ConvergenceError
 
 
-def _atomic_write(path, text):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _write_column(path, header, values, meta):
-    lines = ["# " + json.dumps(meta, sort_keys=True), header]
-    lines.extend(repr(float(v)) for v in values)
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _write_table(path, fieldnames, rows, meta):
-    lines = ["# " + json.dumps(meta, sort_keys=True), ",".join(fieldnames)]
-    for row in rows:
-        lines.append(",".join(str(row.get(k, "")) for k in fieldnames))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
 def _read_column(path):
     values = []
     with open(path) as fh:
@@ -62,13 +48,16 @@ def _read_column(path):
                 continue
             token = line.split(",")[0]
             try:
-                values.append(float(token))
+                value = float(token)
             except ValueError:
                 if lineno == 1 or (lineno == 2 and not values):
                     continue  # header row
                 raise click.UsageError(
                     f"{path}:{lineno}: cannot parse {token!r} as a number"
                 )
+            if not math.isfinite(value):
+                raise click.UsageError(f"{path}:{lineno}: non-finite value {token!r}")
+            values.append(value)
     if not values:
         raise click.UsageError(f"{path}: no numeric data found")
     return np.asarray(values)
@@ -134,17 +123,11 @@ def simulate(process, a, b, d, sigma, length, seed, method, units, burnin, out):
         "generator": sample.generator,
         "seed": seed,
         "length": length,
-        **_param_meta(params),
+        **params_to_dict(params),
     }
     if sample.n_units is not None:
         meta["n_units"] = sample.n_units
-    _write_column(out, "value", sample.values, meta)
-
-
-def _param_meta(params):
-    if isinstance(params, CsaParams):
-        return {"process": "csa", "a": params.a, "b": params.b, "sigma_eps": params.sigma_eps}
-    return {"process": "frac", "d": params.d}
+    write_rows(out, meta, [{"value": v} for v in sample.values])
 
 
 @main.command()
@@ -167,12 +150,12 @@ def forecast(infile, a, b, sigma, horizon, out):
     except (ValueError, ConvergenceError) as exc:
         raise click.ClickException(str(exc))
     meta = {
-        **_param_meta(params),
+        **params_to_dict(params),
         "horizon": horizon,
         "observations": int(x.size),
         "reconstruction_error": result.reconstruction_error,
     }
-    _write_column(out, "forecast", result.point_forecasts, meta)
+    write_rows(out, meta, [{"forecast": v} for v in result.point_forecasts])
 
 
 @main.command()
@@ -192,7 +175,8 @@ def acf(process, a, b, d, max_lag, out):
     else:
         params = _frac_params(d)
         values = acf_frac_lags(params, max_lag)
-    _write_column(out, "acf", values, {**_param_meta(params), "max_lag": max_lag})
+    meta = {**params_to_dict(params), "max_lag": max_lag}
+    write_rows(out, meta, [{"acf": v} for v in values])
 
 
 @main.command()
@@ -288,28 +272,25 @@ def benchmark(a, b, sizes, runs, out):
     if not size_list or any(s < 1 for s in size_list):
         raise click.UsageError("--sizes needs positive integers")
     rows = benchmark_generation(params, size_list, runs=runs)
-    table = [
-        {
-            "T": r.T,
-            "n_units": r.n_units,
-            "fast_seconds": r.fast_seconds,
-            "naive_seconds": r.naive_seconds,
-            "speedup": r.speedup,
-        }
-        for r in rows
-    ]
-    for r in table:
+    for r in rows:
         click.echo(
-            f"T={r['T']} N={r['n_units']} fast={r['fast_seconds']:.6f}s "
-            f"naive={r['naive_seconds']:.6f}s speedup={r['speedup']:.1f}x"
+            f"T={r.T} N={r.n_units} fast={r.fast_seconds:.6f}s "
+            f"naive={r.naive_seconds:.6f}s speedup={r.speedup:.1f}x"
         )
     if out:
-        _write_table(
-            out,
-            ["T", "n_units", "fast_seconds", "naive_seconds", "speedup"],
-            table,
-            {"a": a, "b": b, "runs": runs},
-        )
+        table = [{**asdict(r), "speedup": r.speedup} for r in rows]
+        write_rows(out, {"a": a, "b": b, "runs": runs}, table)
+
+
+def _run(cfg, workers):
+    try:
+        workers = resolve_workers(workers)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    try:
+        return run_experiment(cfg, workers=workers)
+    except ConvergenceError as exc:
+        raise click.ClickException(str(exc))
 
 
 @main.command()
@@ -326,12 +307,11 @@ def table(which, scale, seed, out, workers):
             kwargs.update(sample_size=10_000, replications=10_000)
         else:
             kwargs.update(sample_size=4096, replications=1000)
-    cfg = ExperimentConfig(experiment=f"table{which}", **kwargs)
     try:
-        result = run_experiment(cfg, workers=workers)
-    except ConvergenceError as exc:
-        raise click.ClickException(str(exc))
-    result.write_csv(out)
+        cfg = ExperimentConfig(experiment=f"table{which}", **kwargs)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    _run(cfg, workers).write_csv(out)
 
 
 @main.command()
@@ -344,10 +324,7 @@ def experiment(config_path, out_prefix, workers):
         cfg = ExperimentConfig.from_file(config_path)
     except (ValueError, TypeError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"{config_path}: {exc}")
-    try:
-        result = run_experiment(cfg, workers=workers)
-    except ConvergenceError as exc:
-        raise click.ClickException(str(exc))
+    result = _run(cfg, workers)
     result.write_csv(f"{out_prefix}.csv")
     result.write_json(f"{out_prefix}.json")
 

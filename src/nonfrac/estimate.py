@@ -2,11 +2,10 @@
 (GPH) regression of log I(lambda_j) on log lambda_j over the first ~sqrt(T)
 Fourier frequencies."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .spectral import _dft_bluestein, fft
 
 __all__ = ["PeriodogramResult", "GphEstimate", "periodogram", "gph_estimate"]
 
@@ -26,19 +25,16 @@ class GphEstimate:
 
 def periodogram(x, demean=True):
     """I(lambda_j) = |sum_t x_t exp(-i lambda_j t)|^2 / (2 pi T) at the
-    positive Fourier frequencies, via one FFT (chirp transform when T is
-    not a power of two). The mean is removed first by default; simulated
-    processes are zero-mean and this only affects the excluded j=0 bin."""
+    positive Fourier frequencies, via one real FFT of any length. The mean
+    is removed first by default; simulated processes are zero-mean and this
+    only affects the excluded j=0 bin."""
     x = np.asarray(x, dtype=float)
     T = x.size
     if T < 4:
         raise ValueError(f"need T >= 4, got {T}")
     if demean:
         x = x - x.mean()
-    if T & (T - 1) == 0:
-        spec = fft(x)
-    else:
-        spec = _dft_bluestein(x)
+    spec = np.fft.rfft(x)
     m = (T - 1) // 2
     j = np.arange(1, m + 1)
     ordinates = np.abs(spec[1 : m + 1]) ** 2 / (2.0 * np.pi * T)
@@ -48,12 +44,15 @@ def periodogram(x, demean=True):
 def gph_estimate(x, bandwidth=None, demean=True):
     """OLS of log I(lambda_j) on log lambda_j over j = 1..m; the memory
     estimate is -slope/2 and the standard error comes from the classical
-    homoskedastic slope variance. Default bandwidth m = floor(sqrt(T))."""
+    homoskedastic slope variance. Default bandwidth m = floor(sqrt(T)).
+    A constant series has no log-periodogram and raises ValueError."""
     x = np.asarray(x, dtype=float)
     T = x.size
     if bandwidth is None:
         bandwidth = int(np.floor(np.sqrt(T)))
     pgram = periodogram(x, demean=demean)
+    if x.min() == x.max():
+        raise ValueError("constant series: the log-periodogram is undefined")
     if bandwidth > pgram.frequencies.size:
         raise ValueError(
             f"bandwidth {bandwidth} exceeds the {pgram.frequencies.size} available ordinates"
@@ -70,6 +69,6 @@ def gph_estimate(x, bandwidth=None, demean=True):
     slope_var = float(np.dot(resid, resid)) / dof / sxx
     return GphEstimate(
         d_hat=-slope / 2.0,
-        std_error=np.sqrt(slope_var) / 2.0,
+        std_error=math.sqrt(slope_var) / 2.0,
         bandwidth=bandwidth,
     )

@@ -10,9 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_toeplitz
+from scipy.special import beta, gammaln, gammasgn
 
 from .model import CsaParams, FracParams, acf_csa_lags, acf_frac_lags
-from .specfun import PfqSpec, hypergeometric_pfq, log_beta, signed_log_gamma
+from .specfun import PfqSpec, hypergeometric_pfq
 
 __all__ = [
     "EfficiencyReport",
@@ -20,7 +21,6 @@ __all__ = [
     "zeta_ar",
     "gamma_z",
     "zeta_fractional",
-    "arfima_zeta_as_displayed",
     "approximation_loss",
     "best_matching_a",
 ]
@@ -75,17 +75,10 @@ def zeta_ar(p, coeffs):
 def _gamma_star(p, k, d):
     """sigma^2 Gamma(1+2d)/(Gamma(-d)Gamma(1+d)) * Gamma(-d-k)/Gamma(1+d-k),
     with sign-tracked log-gamma since several arguments are negative."""
-    sign = 1.0
-    logmag = math.log(p.sigma_eps**2)
-    for arg in (1.0 + 2.0 * d, -d - k):
-        s, l = signed_log_gamma(arg)
-        sign *= s
-        logmag += l
-    for arg in (-d, 1.0 + d, 1.0 + d - k):
-        s, l = signed_log_gamma(arg)
-        sign /= s
-        logmag -= l
-    return sign * math.exp(logmag)
+    num = np.array([1.0 + 2.0 * d, -d - k])
+    den = np.array([-d, 1.0 + d, 1.0 + d - k])
+    sign = np.prod(gammasgn(num)) / np.prod(gammasgn(den))
+    return float(p.sigma_eps**2 * sign * np.exp(gammaln(num).sum() - gammaln(den).sum()))
 
 
 def gamma_z(p, k, rel_tol=1e-12):
@@ -126,13 +119,10 @@ def gamma_z(p, k, rel_tol=1e-12):
 
     f1 = f1_branch(float(k)) + f1_branch(float(-k))
     f2 = f2_branch(float(k)) + f2_branch(float(-k))
-    return (
+    return float(
         _gamma_star(p, float(k), d)
-        * (
-            math.exp(log_beta(a, b - 1.0)) * (f1 - 1.0)
-            + math.exp(log_beta(a + 0.5, b - 1.0)) * f2
-        )
-        / math.exp(log_beta(a, b))
+        * (beta(a, b - 1.0) * (f1 - 1.0) + beta(a + 0.5, b - 1.0) * f2)
+        / beta(a, b)
     )
 
 
@@ -142,7 +132,9 @@ def zeta_fractional(p, rel_tol=1e-12):
 
     Pure I(d): zeta = gamma_z(0). ARFIMA(1,d,0): alpha_I = gamma_z(1)/gamma_z(0)
     and zeta = gamma_z(0) (1 - alpha_I^2) -- the dimensionally consistent
-    form; see arfima_zeta_as_displayed for the raw printed expression.
+    form. The paper displays (gamma_z(0)^2 - gamma_z(1)^2) / gamma_z(0)^2
+    = 1 - alpha_I^2 instead; that expression is capped at 1, so it cannot
+    be a relative error variance, and it is not computed here.
     """
     g0 = gamma_z(p, 0, rel_tol)
     g1 = gamma_z(p, 1, rel_tol)
@@ -155,17 +147,6 @@ def zeta_fractional(p, rel_tol=1e-12):
         csa=p,
     )
     return pure, arfima
-
-
-def arfima_zeta_as_displayed(p, rel_tol=1e-12):
-    """(gamma_z(0)^2 - gamma_z(1)^2) / gamma_z(0)^2 = 1 - alpha_I^2.
-
-    Kept for inspection only: this quantity is capped at 1 and cannot be a
-    relative error variance; the consistent form lives in zeta_fractional.
-    """
-    g0 = gamma_z(p, 0, rel_tol)
-    g1 = gamma_z(p, 1, rel_tol)
-    return (g0**2 - g1**2) / g0**2
 
 
 def approximation_loss(k, a, d):

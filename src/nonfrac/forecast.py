@@ -33,7 +33,7 @@ def recover_innovations(x, p):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("x must be a nonempty 1-d sequence")
-    phi = csa_ma_coeffs(p, x.size).weights
+    phi = csa_ma_coeffs(p, x.size)
     return lfilter([1.0], phi, x)
 
 
@@ -47,7 +47,7 @@ def forecast_csa(x, p, h):
     if h > T:
         raise ValueError(f"horizon {h} exceeds sample size {T}")
     nu = recover_innovations(x, p)
-    phi = csa_ma_coeffs(p, T + h).weights
+    phi = csa_ma_coeffs(p, T + h)
     nu_rev = nu[::-1]
     forecasts = np.array([float(np.dot(phi[i : i + T], nu_rev)) for i in range(1, h + 1)])
     recon = lfilter(phi[:T], [1.0], nu)

@@ -12,7 +12,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +53,7 @@ EXPERIMENTS = (
 TABLE_A_GRID = (0.1, 0.5, 0.9, 1.3, 1.7)
 TABLE_B_GRID = (1.8, 1.6, 1.4, 1.2, 1.1)
 TABLE1_D_GRID = (0.4, 0.2, -0.2, -0.4)
+CSA_ONLY = ("table2", "table3", "fig_acf_shortmem")
 
 
 @dataclass(frozen=True)
@@ -68,10 +69,22 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
             )
+        for name in ("sample_size", "replications", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.sample_size < 8:
             raise ValueError("sample_size must be >= 8")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
+        if self.experiment in CSA_ONLY and not all(
+            isinstance(p, CsaParams) for p in self.parameter_grid
+        ):
+            raise ValueError(f"{self.experiment} takes only csa parameter grid entries")
+        if self.experiment == "table3" and not all(1.0 < p.b < 2.0 for p in self.parameter_grid):
+            raise ValueError("table3 needs b in (1, 2) for every grid entry")
 
     @classmethod
     def from_file(cls, path):
@@ -84,6 +97,8 @@ class ExperimentConfig:
         """
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
         grid = tuple(_params_from_dict(entry) for entry in raw.pop("parameter_grid", []))
         return cls(parameter_grid=grid, **raw)
 
@@ -93,14 +108,14 @@ class ExperimentConfig:
             "sample_size": self.sample_size,
             "replications": self.replications,
             "master_seed": self.master_seed,
-            "parameter_grid": [_params_to_dict(p) for p in self.parameter_grid],
+            "parameter_grid": [params_to_dict(p) for p in self.parameter_grid],
         }
         return out
 
 
 def _params_from_dict(entry):
     entry = dict(entry)
-    process = entry.pop("process")
+    process = entry.pop("process", None)
     if process == "csa":
         return CsaParams(**entry)
     if process == "frac":
@@ -108,7 +123,7 @@ def _params_from_dict(entry):
     raise ValueError(f"unknown process {process!r}")
 
 
-def _params_to_dict(p):
+def params_to_dict(p):
     if isinstance(p, CsaParams):
         return {"process": "csa", "a": p.a, "b": p.b, "sigma_eps": p.sigma_eps}
     return {"process": "frac", "d": p.d}
@@ -120,27 +135,29 @@ class ExperimentResult:
     metadata: dict
 
     def write_csv(self, path):
-        keys = []
-        for row in self.rows:
-            for k in row:
-                if k not in keys:
-                    keys.append(k)
-        lines = ["# " + json.dumps(self.metadata, sort_keys=True)]
-        lines.append(",".join(keys))
-        for row in self.rows:
-            lines.append(",".join(_csv_cell(row.get(k)) for k in keys))
-        _atomic_write(path, "\n".join(lines) + "\n")
+        write_rows(path, self.metadata, self.rows)
 
     def write_json(self, path):
         payload = {"metadata": self.metadata, "rows": list(self.rows)}
         _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def write_rows(path, metadata, rows):
+    """Write dict rows as CSV: a `#`-prefixed JSON metadata line, a header
+    with every key in first-seen order, then one line per row (a missing key
+    is an empty cell). The file appears atomically."""
+    keys = list(dict.fromkeys(k for row in rows for k in row))
+    lines = ["# " + json.dumps(metadata, sort_keys=True), ",".join(keys)]
+    for row in rows:
+        lines.append(",".join(_csv_cell(row.get(k)) for k in keys))
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
 def _csv_cell(v):
     if v is None:
         return ""
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # plain digits, also for numpy float scalars
     return str(v)
 
 
@@ -157,11 +174,16 @@ def replication_seed(master_seed, cell_index, rep_index):
 
 
 def resolve_workers(workers=None):
+    """Worker processes to use: `workers`, else NONFRAC_WORKERS, else the
+    CPU count; at least one. A non-integer NONFRAC_WORKERS raises ValueError."""
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get("NONFRAC_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"NONFRAC_WORKERS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -187,47 +209,51 @@ def run_experiment(cfg, workers=None):
 
 
 def _table1_grid(cfg):
-    if cfg.parameter_grid:
-        return cfg.parameter_grid
-    grid = []
-    for d in TABLE1_D_GRID:
-        grid.append(CsaParams(a=0.2, b=2.0 * (1.0 - d)))
-        grid.append(FracParams(d=d))
-    return tuple(grid)
+    return cfg.parameter_grid or tuple(
+        p for d in TABLE1_D_GRID for p in (CsaParams(a=0.2, b=2.0 * (1.0 - d)), FracParams(d=d))
+    )
 
 
-def _gph_rep(task):
-    master_seed, cell_index, rep_index, params, sample_size = task
+def _d_hat(x):
+    return gph_estimate(x).d_hat
+
+
+def _ordinates(x):
+    return periodogram(x).ordinates
+
+
+def _replicate(task):
+    """One replication: draw the cell's path from its own seed, apply the
+    statistic (a module-level function, so the task pickles)."""
+    statistic, master_seed, cell_index, rep_index, params, sample_size = task
     seed = replication_seed(master_seed, cell_index, rep_index)
-    if isinstance(params, CsaParams):
-        sample = generate_csa_fast(params, sample_size, seed)
-    else:
-        sample = generate_frac_fast(params, sample_size, seed)
-    return gph_estimate(sample.values).d_hat
+    generate = generate_csa_fast if isinstance(params, CsaParams) else generate_frac_fast
+    return statistic(generate(params, sample_size, seed).values)
 
 
-def _map_tasks(fn, tasks, workers):
+def _replicate_cell(cfg, cell_index, params, statistic, workers):
+    """The statistic of every replication of one cell, in replication order."""
+    tasks = [
+        (statistic, cfg.master_seed, cell_index, r, params, cfg.sample_size)
+        for r in range(cfg.replications)
+    ]
     if workers <= 1 or len(tasks) < 2:
-        return [fn(t) for t in tasks]
+        return [_replicate(t) for t in tasks]
     chunk = max(1, len(tasks) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
+        return list(pool.map(_replicate, tasks, chunksize=chunk))
 
 
 def _run_table1(cfg, workers):
     rows = []
     for cell_index, params in enumerate(_table1_grid(cfg)):
-        tasks = [
-            (cfg.master_seed, cell_index, r, params, cfg.sample_size)
-            for r in range(cfg.replications)
-        ]
-        d_hats = np.array(_map_tasks(_gph_rep, tasks, workers))
+        d_hats = np.array(_replicate_cell(cfg, cell_index, params, _d_hat, workers))
         stats = {
             "mean_d_hat": float(d_hats.mean()),
             "sd_d_hat": float(d_hats.std(ddof=1)) if d_hats.size > 1 else 0.0,
             "count": d_hats.size,
         }
-        base = _params_to_dict(params)
+        base = params_to_dict(params)
         nominal = params.memory_d if isinstance(params, CsaParams) else params.d
         for stat, value in stats.items():
             rows.append({"cell": cell_index, **base, "nominal_d": nominal, "statistic": stat, "value": value})
@@ -239,9 +265,9 @@ def _run_table1(cfg, workers):
 
 
 def _csa_grid(cfg):
-    if cfg.parameter_grid:
-        return cfg.parameter_grid
-    return tuple(CsaParams(a=a, b=b) for a in TABLE_A_GRID for b in TABLE_B_GRID)
+    return cfg.parameter_grid or tuple(
+        CsaParams(a=a, b=b) for a in TABLE_A_GRID for b in TABLE_B_GRID
+    )
 
 
 def _run_table2(cfg, workers):
@@ -318,8 +344,8 @@ def _run_fig_filter_match(cfg, workers):
     rng = np.random.default_rng(replication_seed(cfg.master_seed, 0, 0))
     eps = rng.standard_normal(T)
     series = {
-        "frac": circular_convolve(eps, frac_ma_coeffs(frac, T).weights),
-        "csa": circular_convolve(eps, csa_ma_coeffs(csa, T).weights),
+        "frac": circular_convolve(eps, frac_ma_coeffs(frac, T)),
+        "csa": circular_convolve(eps, csa_ma_coeffs(csa, T)),
     }
     rows = []
     for name, values in series.items():
@@ -348,16 +374,6 @@ def _run_fig_antipersistence_acf(cfg, workers):
     return rows
 
 
-def _periodogram_rep(task):
-    master_seed, cell_index, rep_index, params, sample_size = task
-    seed = replication_seed(master_seed, cell_index, rep_index)
-    if isinstance(params, CsaParams):
-        sample = generate_csa_fast(params, sample_size, seed)
-    else:
-        sample = generate_frac_fast(params, sample_size, seed)
-    return periodogram(sample.values).ordinates
-
-
 def _run_fig_mean_periodogram(cfg, workers):
     grid = cfg.parameter_grid or tuple(
         p
@@ -366,15 +382,11 @@ def _run_fig_mean_periodogram(cfg, workers):
     )
     rows = []
     for cell_index, params in enumerate(grid):
-        tasks = [
-            (cfg.master_seed, cell_index, r, params, cfg.sample_size)
-            for r in range(cfg.replications)
-        ]
-        ordinates = _map_tasks(_periodogram_rep, tasks, workers)
+        ordinates = _replicate_cell(cfg, cell_index, params, _ordinates, workers)
         mean_pgram = np.mean(np.stack(ordinates), axis=0)
         m = (cfg.sample_size - 1) // 2
         freqs = 2.0 * np.pi * np.arange(1, m + 1) / cfg.sample_size
-        base = _params_to_dict(params)
+        base = params_to_dict(params)
         for freq, value in zip(freqs, mean_pgram):
             rows.append(
                 {

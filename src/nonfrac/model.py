@@ -5,26 +5,23 @@ CSA(a, b): the limit of 1/sqrt(N) aggregation of AR(1) units whose squared
 coefficients are Beta(a, b) draws; implied memory d = 1 - b/2.
 
 All Gamma-ratio quantities use one-step recursions where lags shift by
-integers, and log-gamma differences where they shift by half-integers, so
+integers, and log-Beta differences where they shift by half-integers, so
 they stay stable for lags up to 1e6.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betaln
 
 from .specfun import ConvergenceError, algebraic_tail_estimate, beta_ratio_sequence
 
 __all__ = [
     "FracParams",
     "CsaParams",
-    "MaCoefficients",
     "frac_ma_coeffs",
     "csa_ma_coeffs",
-    "acf_frac",
     "acf_frac_lags",
-    "acf_csa",
     "acf_csa_lags",
     "csa_variance",
     "csa_spectrum_at_zero",
@@ -68,20 +65,9 @@ class CsaParams:
         return 1.0 - self.b / 2.0
 
 
-@dataclass(frozen=True)
-class MaCoefficients:
-    """Finite prefix of the MA(infinity) weights of either process."""
-
-    weights: np.ndarray
-    origin: str  # 'fractional' or 'csa'
-    params: object
-
-    def __len__(self):
-        return self.weights.size
-
-
 def frac_ma_coeffs(p, T):
-    """MA weights pi_j of (1-L)^{-d}: pi_0 = 1, pi_j = pi_{j-1} (j-1+d)/j.
+    """First T MA weights pi_j of (1-L)^{-d}: pi_0 = 1,
+    pi_j = pi_{j-1} (j-1+d)/j.
 
     Tail behaves like j^{d-1}; all weights negative for j >= 1 when d < 0.
     """
@@ -92,32 +78,23 @@ def frac_ma_coeffs(p, T):
     if T > 1:
         j = np.arange(1.0, T)
         np.cumprod((j - 1.0 + p.d) / j, out=w[1:])
-    return MaCoefficients(weights=w, origin="fractional", params=p)
+    return w
 
 
 def csa_ma_coeffs(p, T):
-    """MA weights phi_j = sqrt(B(a+j, b) / B(a, b)): positive, decreasing,
-    tail ~ j^{-b/2}."""
+    """First T MA weights phi_j = sqrt(B(a+j, b) / B(a, b)): positive,
+    decreasing, tail ~ j^{-b/2}."""
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    w = np.sqrt(beta_ratio_sequence(p.a, p.b, T - 1))
-    return MaCoefficients(weights=w, origin="csa", params=p)
-
-
-def acf_frac(p, k):
-    """Autocorrelation of I(d) at lag k: Gamma(k+d)Gamma(1-d) /
-    (Gamma(k-d+1)Gamma(d)), via the lag recursion. Negative for all
-    k >= 1 when d < 0."""
-    if k < 0:
-        raise ValueError(f"lag must be >= 0, got {k}")
-    g = 1.0
-    for i in range(1, int(k) + 1):
-        g *= (i - 1.0 + p.d) / (i - p.d)
-    return g
+    return np.sqrt(beta_ratio_sequence(p.a, p.b, T - 1))
 
 
 def acf_frac_lags(p, kmax):
-    """acf_frac at lags 0..kmax as an array."""
+    """Autocorrelations of I(d) at lags 0..kmax:
+    Gamma(k+d)Gamma(1-d) / (Gamma(k-d+1)Gamma(d)), via the lag recursion.
+    Negative for all k >= 1 when d < 0."""
+    if kmax < 0:
+        raise ValueError(f"kmax must be >= 0, got {kmax}")
     g = np.empty(kmax + 1)
     g[0] = 1.0
     if kmax > 0:
@@ -126,26 +103,18 @@ def acf_frac_lags(p, kmax):
     return g
 
 
-def _log_beta_arr(x, y):
-    return gammaln(x) + gammaln(y) - gammaln(x + y)
-
-
-def acf_csa(p, k):
-    """Autocorrelation of CSA(a, b) at lag k: B(a+k/2, b-1) / B(a, b-1).
+def acf_csa_lags(p, kmax):
+    """Autocorrelations of CSA(a, b) at lags 0..kmax:
+    B(a+k/2, b-1) / B(a, b-1).
 
     Always strictly positive, decays like k^{1-b}. The half-integer lag
     shift rules out a pure product recursion, so this goes through
-    log-gamma differences.
+    log-Beta differences.
     """
-    if k < 0:
-        raise ValueError(f"lag must be >= 0, got {k}")
-    return float(np.exp(_log_beta_arr(p.a + k / 2.0, p.b - 1.0) - _log_beta_arr(p.a, p.b - 1.0)))
-
-
-def acf_csa_lags(p, kmax):
-    """acf_csa at lags 0..kmax as an array."""
+    if kmax < 0:
+        raise ValueError(f"kmax must be >= 0, got {kmax}")
     k = np.arange(kmax + 1, dtype=float)
-    out = np.exp(_log_beta_arr(p.a + k / 2.0, p.b - 1.0) - _log_beta_arr(p.a, p.b - 1.0))
+    out = np.exp(betaln(p.a + k / 2.0, p.b - 1.0) - betaln(p.a, p.b - 1.0))
     out[0] = 1.0
     return out
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CsaParams, FracParams, csa_ma_coeffs, frac_ma_coeffs
+from .model import csa_ma_coeffs, frac_ma_coeffs
 from .spectral import circular_convolve
 
 __all__ = [
@@ -39,36 +39,30 @@ class SeriesSample:
     n_units: int | None = None
 
 
-def _draw_innovations(rng, T, sigma, innovations):
-    if innovations is not None:
+def _generate_fast(p, T, seed, innovations, sigma, ma_coeffs, generator):
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    if innovations is None:
+        nu = sigma * np.random.default_rng(seed).standard_normal(T)
+    else:
         nu = np.asarray(innovations, dtype=float)
         if nu.size != T:
             raise ValueError(f"need {T} innovations, got {nu.size}")
-        return nu
-    return sigma * rng.standard_normal(T)
+    values = circular_convolve(nu, ma_coeffs(p, T))
+    return SeriesSample(values=values, generator=generator, params=p, seed=seed)
 
 
 def generate_csa_fast(p, T, seed, innovations=None):
     """Fast CSA(a, b) path: convolve seeded N(0, sigma^2) innovations with
     the MA weights. `innovations` overrides the random draw (test hook:
     an impulse returns the weight sequence itself)."""
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    rng = np.random.default_rng(seed)
-    nu = _draw_innovations(rng, T, p.sigma_eps, innovations)
-    values = circular_convolve(nu, csa_ma_coeffs(p, T).weights)
-    return SeriesSample(values=values, generator="csa_fast", params=p, seed=seed)
+    return _generate_fast(p, T, seed, innovations, p.sigma_eps, csa_ma_coeffs, "csa_fast")
 
 
 def generate_frac_fast(p, T, seed, innovations=None):
     """Fast I(d) path: same convolution device with the fractional
     weights, unit innovation variance."""
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    rng = np.random.default_rng(seed)
-    nu = _draw_innovations(rng, T, 1.0, innovations)
-    values = circular_convolve(nu, frac_ma_coeffs(p, T).weights)
-    return SeriesSample(values=values, generator="frac_fast", params=p, seed=seed)
+    return _generate_fast(p, T, seed, innovations, 1.0, frac_ma_coeffs, "frac_fast")
 
 
 def generate_csa_naive(p, T, n_units, burn_in=None, seed=0, alphas=None):

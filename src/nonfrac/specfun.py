@@ -1,26 +1,20 @@
-"""Special-function kernel: log-gamma, Beta-function ratios, zeta, and
+"""Special-function kernel: Beta-function ratios, algebraic series tails and
 generalized hypergeometric series.
 
 Everything here is pure and thread-safe. The Beta ratios are computed by
 telescoping products rather than Gamma calls so they stay finite for very
-large shifts; the log-gamma route is kept only as a cross-check in the tests.
+large shifts; Gamma, Beta and Hurwitz zeta values come from scipy.special.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import zeta
 
 __all__ = [
     "ConvergenceError",
     "PfqSpec",
-    "log_gamma",
-    "signed_log_gamma",
-    "log_beta",
-    "beta_ratio",
     "beta_ratio_sequence",
-    "hurwitz_zeta",
-    "riemann_zeta",
     "hypergeometric_pfq",
     "algebraic_tail_estimate",
 ]
@@ -32,53 +26,17 @@ class ConvergenceError(RuntimeError):
     """A series failed to converge under the requested tolerance."""
 
 
-def log_gamma(x):
-    """Natural log of the Gamma function for x > 0."""
-    if x <= 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def signed_log_gamma(x):
-    """Return (sign, log|Gamma(x)|) for any real x that is not a pole.
-
-    Negative non-integer arguments are handled through the reflection
-    formula Gamma(x) = pi / (sin(pi*x) * Gamma(1-x)); the sign comes from
-    sin(pi*x) since Gamma(1-x) > 0 there.
-    """
-    if x > 0:
-        return 1.0, math.lgamma(x)
-    if x == math.floor(x):
-        raise ValueError(f"Gamma pole at nonpositive integer {x}")
-    s = math.sin(math.pi * x)
-    return math.copysign(1.0, s), math.log(math.pi / abs(s)) - math.lgamma(1.0 - x)
-
-
-def log_beta(x, y):
-    """log B(x, y) for x, y > 0."""
-    return log_gamma(x) + log_gamma(y) - log_gamma(x + y)
-
-
-def beta_ratio(a, b, j):
-    """B(a+j, b) / B(a, b) as the telescoping product of (a+i)/(a+b+i).
-
-    Exact 1.0 at j = 0, strictly decreasing in j for b > 0. Avoids
-    overflow/cancellation of evaluating two Beta functions for large j.
-    """
-    if a <= 0 or b <= 0:
-        raise ValueError(f"beta_ratio requires a, b > 0, got a={a}, b={b}")
-    if j < 0:
-        raise ValueError(f"beta_ratio requires j >= 0, got {j}")
-    out = 1.0
-    for i in range(int(j)):
-        out *= (a + i) / (a + b + i)
-    return out
-
-
 def beta_ratio_sequence(a, b, jmax):
-    """Vectorised beta_ratio for j = 0..jmax (inclusive), via cumprod."""
+    """B(a+j, b) / B(a, b) for j = 0..jmax (inclusive), as the cumulative
+    product of (a+i)/(a+b+i).
+
+    Exact 1.0 at j = 0, strictly decreasing in j for b > 0. Avoids the
+    overflow and cancellation of evaluating two Beta functions at large j.
+    """
     if a <= 0 or b <= 0:
-        raise ValueError(f"beta_ratio requires a, b > 0, got a={a}, b={b}")
+        raise ValueError(f"beta_ratio_sequence requires a, b > 0, got a={a}, b={b}")
+    if jmax < 0:
+        raise ValueError(f"beta_ratio_sequence requires jmax >= 0, got {jmax}")
     i = np.arange(jmax, dtype=float)
     out = np.empty(jmax + 1)
     out[0] = 1.0
@@ -87,57 +45,12 @@ def beta_ratio_sequence(a, b, jmax):
     return out
 
 
-# Bernoulli numbers B_2, B_4, ... used by the Euler-Maclaurin correction.
-_BERNOULLI_EVEN = (
-    1.0 / 6,
-    -1.0 / 30,
-    1.0 / 42,
-    -1.0 / 30,
-    5.0 / 66,
-    -691.0 / 2730,
-    7.0 / 6,
-)
-
-
-def hurwitz_zeta(s, q=1.0, n_direct=30):
-    """Hurwitz zeta sum_{n>=0} (q+n)^{-s} for s > 1, q > 0, by Euler-Maclaurin.
-
-    Direct summation of the first `n_direct` terms followed by the integral
-    term, the half-term, and Bernoulli corrections; accurate to well below
-    1e-12 relative for moderate s.
-    """
-    if s <= 1:
-        raise ValueError(f"hurwitz_zeta requires s > 1, got {s}")
-    if q <= 0:
-        raise ValueError(f"hurwitz_zeta requires q > 0, got {q}")
-    n = np.arange(n_direct)
-    total = float(np.sum((q + n) ** (-s)))
-    x = q + n_direct
-    total += x ** (1.0 - s) / (s - 1.0) + 0.5 * x ** (-s)
-    # Euler-Maclaurin: B_{2k}/(2k)! * s(s+1)...(s+2k-2) * x^{-s-2k+1}
-    poch = s
-    fact = 2.0
-    power = x ** (-s - 1.0)
-    for k, b2k in enumerate(_BERNOULLI_EVEN, start=1):
-        total += b2k / fact * poch * power
-        poch *= (s + 2 * k - 1) * (s + 2 * k)
-        fact *= (2 * k + 1) * (2 * k + 2)
-        power /= x * x
-    return total
-
-
-def riemann_zeta(s):
-    """Riemann zeta for s > 1."""
-    if s <= 1:
-        raise ValueError(f"riemann_zeta requires s > 1, got {s}")
-    return hurwitz_zeta(s, 1.0)
-
-
 def algebraic_tail_estimate(terms, exponent, n_last):
     """Estimate sum_{n > n_last} t_n for terms decaying like n^{-exponent}.
 
     Fits t_n = n^{-exponent} (c0 + c1/n + c2/n^2 + c3/n^3) at four dyadic
-    nodes up to n_last and sums the fitted tail exactly with Hurwitz zeta.
+    nodes up to n_last and sums the fitted tail exactly with scipy's Hurwitz
+    zeta.
     Requires exponent > 1 and n_last >= 8.
     """
     if exponent <= 1:
@@ -150,12 +63,7 @@ def algebraic_tail_estimate(terms, exponent, n_last):
     tvals = np.array([terms[int(n)] for n in nodes])
     design = nodes[:, None] ** (-exponent - np.arange(4)[None, :])
     coeffs = np.linalg.solve(design, tvals)
-    return float(
-        sum(
-            c * hurwitz_zeta(exponent + i, n_last + 1.0)
-            for i, c in enumerate(coeffs)
-        )
-    )
+    return float(np.dot(coeffs, zeta(exponent + np.arange(4), n_last + 1.0)))
 
 
 @dataclass(frozen=True)

@@ -1,84 +1,16 @@
-"""Radix-2 FFT and circular convolution kernel.
-
-The transform is a vectorised iterative Cooley-Tukey restricted to
-power-of-two lengths; bit-reversal permutations and twiddle factors are
-cached per length and immutable once built, so concurrent callers are safe.
-"""
+"""Circular convolution kernel on numpy's real FFT."""
 
 import numpy as np
+from scipy.fft import next_fast_len
 
-__all__ = ["fft", "circular_convolve", "next_pow2"]
-
-_BITREV_CACHE = {}
-_TWIDDLE_CACHE = {}
-
-
-def next_pow2(n):
-    """Smallest power of two >= n."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return 1 << (int(n) - 1).bit_length()
-
-
-def _bitrev_indices(n):
-    idx = _BITREV_CACHE.get(n)
-    if idx is None:
-        bits = n.bit_length() - 1
-        k = np.arange(n)
-        idx = np.zeros(n, dtype=np.intp)
-        for b in range(bits):
-            idx |= ((k >> b) & 1) << (bits - 1 - b)
-        idx.setflags(write=False)
-        _BITREV_CACHE[n] = idx
-    return idx
-
-
-def _twiddles(half, sign):
-    key = (half, sign)
-    tw = _TWIDDLE_CACHE.get(key)
-    if tw is None:
-        tw = np.exp(sign * 2j * np.pi * np.arange(half) / (2 * half))
-        tw.setflags(write=False)
-        _TWIDDLE_CACHE[key] = tw
-    return tw
-
-
-def fft(x, direction="forward"):
-    """Discrete Fourier transform of a power-of-two length sequence.
-
-    Forward: X_k = sum_n x_n exp(-2*pi*i*k*n/N). Inverse includes the 1/N
-    factor so that fft(fft(x), 'inverse') round-trips.
-    """
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"unknown direction {direction!r}")
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.size
-    if n == 0 or n & (n - 1):
-        raise ValueError(f"length {n} is not a power of two")
-    if n == 1:
-        return x.copy()
-
-    sign = -1.0 if direction == "forward" else 1.0
-    out = x[_bitrev_indices(n)]
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = _twiddles(half, sign)
-        blocks = out.reshape(-1, size)
-        even = blocks[:, :half]
-        odd = blocks[:, half:] * tw
-        out = np.concatenate([even + odd, even - odd], axis=1).ravel()
-        size *= 2
-    if direction == "inverse":
-        out = out / n
-    return out
+__all__ = ["circular_convolve"]
 
 
 def circular_convolve(x, y):
     """First T elements of the linear convolution of two length-T sequences.
 
-    Both inputs are zero-padded to the next power of two >= 2T-1, multiplied
-    elementwise in frequency and transformed back; element t equals
+    Both inputs are zero-padded to a fast real-FFT length >= 2T-1, so the
+    circular wrap never reaches the first T outputs; element t equals
     sum_{j<=t} y_j x_{t-j}.
     """
     x = np.asarray(x, dtype=float)
@@ -88,35 +20,5 @@ def circular_convolve(x, y):
     t = x.size
     if t < 1:
         raise ValueError("sequences must be nonempty")
-    if t == 1:
-        return np.array([x[0] * y[0]])
-    n = next_pow2(2 * t - 1)
-    fx = fft(np.concatenate([x, np.zeros(n - t)]))
-    fy = fft(np.concatenate([y, np.zeros(n - t)]))
-    conv = fft(fx * fy, "inverse")
-    return conv[:t].real.copy()
-
-
-def _dft_bluestein(x):
-    """DFT of an arbitrary-length real/complex sequence via the chirp trick.
-
-    Internal helper for the periodogram at non-power-of-two sample sizes;
-    reduces to the radix-2 kernel through one circular convolution.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.size
-    if n == 0:
-        raise ValueError("empty input")
-    if n & (n - 1) == 0:
-        return fft(x)
-    k = np.arange(n)
-    # k^2 mod 2n keeps the chirp phase argument small and exact
-    chirp = np.exp(-1j * np.pi * ((k * k) % (2 * n)) / n)
-    m = next_pow2(2 * n - 1)
-    a = np.zeros(m, dtype=np.complex128)
-    a[:n] = x * chirp
-    b = np.zeros(m, dtype=np.complex128)
-    b[:n] = np.conj(chirp)
-    b[m - n + 1 :] = np.conj(chirp[1:][::-1])
-    conv = fft(fft(a) * fft(b), "inverse")
-    return conv[:n] * chirp
+    n = next_fast_len(2 * t - 1, real=True)
+    return np.fft.irfft(np.fft.rfft(x, n) * np.fft.rfft(y, n), n)[:t]

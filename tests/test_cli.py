@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -251,3 +252,107 @@ class TestTableAndExperiment:
             rows = json.loads((tmp_path / f"{name}.json").read_text())["rows"]
             outs.append(rows)
         assert outs[0] == outs[1]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["gph", "forecast"])
+    def test_non_finite_row_rejected(self, runner, tmp_path, command, token):
+        series = tmp_path / "x.csv"
+        rows = [str(np.sin(i)) for i in range(64)]
+        rows[10] = token
+        series.write_text("value\n" + "\n".join(rows) + "\n")
+        args = {
+            "gph": ["gph", "--in", str(series)],
+            "forecast": ["forecast", "--in", str(series), "--a", "0.3", "--b", "1.5",
+                         "--horizon", "2", "--out", str(tmp_path / "f.csv")],
+        }[command]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert f"x.csv:12: non-finite value '{token}'" in res.output
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_constant_series_gph(self, runner, tmp_path):
+        series = tmp_path / "x.csv"
+        series.write_text("value\n" + "1.5\n" * 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = runner.invoke(main, ["gph", "--in", str(series)])
+        assert res.exit_code == 2
+        assert "constant series" in res.output
+        assert "nan" not in res.output
+
+    def test_constant_series_forecast(self, runner, tmp_path):
+        # forecasting needs no variance: a constant path is a valid input
+        series, fc = tmp_path / "x.csv", tmp_path / "f.csv"
+        series.write_text("value\n" + "1.5\n" * 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = runner.invoke(
+                main, ["forecast", "--in", str(series), "--a", "0.3", "--b", "1.5",
+                       "--horizon", "3", "--out", str(fc)],
+            )
+        assert res.exit_code == 0, res.output
+        assert np.all(np.isfinite(read_column(fc)))
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"experiment": "table1", "replications": 2.5}, "replications must be an integer"),
+            ({"experiment": "table2", "parameter_grid": [{"process": "frac", "d": 0.2}]},
+             "table2 takes only csa"),
+        ],
+    )
+    def test_bad_experiment_config(self, runner, tmp_path, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        res = runner.invoke(main, ["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert res.exit_code == 2
+        assert message in res.output
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("command", ["table", "experiment"])
+    def test_bad_workers_env(self, runner, tmp_path, monkeypatch, command):
+        monkeypatch.setenv("NONFRAC_WORKERS", "abc")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "table2"}))
+        args = {
+            "table": ["table", "--table", "2", "--out", str(tmp_path / "t.csv")],
+            "experiment": ["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")],
+        }[command]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert "NONFRAC_WORKERS must be an integer, got 'abc'" in res.output
+
+
+def test_no_numpy_repr_in_any_output(runner, tmp_path):
+    series = tmp_path / "x.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "experiment": "table1", "sample_size": 64, "replications": 2,
+        "parameter_grid": [{"process": "csa", "a": 0.2, "b": 1.6}],
+    }))
+    commands = [
+        ["simulate", "--process", "csa", "--a", "0.2", "--b", "1.6", "--length", "256",
+         "--out", str(series)],
+        ["forecast", "--in", str(series), "--a", "0.2", "--b", "1.6", "--horizon", "3",
+         "--out", str(tmp_path / "fc.csv")],
+        ["acf", "--process", "csa", "--a", "0.2", "--b", "1.6", "--max-lag", "5",
+         "--out", str(tmp_path / "acf.csv")],
+        ["spectrum", "--a", "1.0", "--b", "2.8"],
+        ["gph", "--in", str(series)],
+        ["fit", "--a", "0.5", "--b", "1.6", "--order", "2"],
+        ["fit", "--a", "0.5", "--b", "1.6", "--model", "fractional"],
+        ["match", "--k", "10", "--d", "0.2"],
+        ["benchmark", "--sizes", "16", "--runs", "1", "--out", str(tmp_path / "bench.csv")],
+        ["table", "--table", "3", "--out", str(tmp_path / "t3.csv"), "--workers", "1"],
+        ["experiment", "--config", str(cfg), "--out", str(tmp_path / "run"), "--workers", "1"],
+    ]
+    for args in commands:
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, (args, res.output)
+        assert "np." not in res.output, (args, res.output)
+    written = sorted(p.name for p in tmp_path.iterdir() if p.name != "cfg.json")
+    assert written == ["acf.csv", "bench.csv", "fc.csv", "run.csv", "run.json", "t3.csv", "x.csv"]
+    for name in written:
+        assert "np." not in (tmp_path / name).read_text(), name

@@ -22,7 +22,7 @@ def brute_periodogram(x):
 
 
 class TestPeriodogram:
-    @pytest.mark.parametrize("T", [16, 100, 128, 255])
+    @pytest.mark.parametrize("T", [16, 100, 128, 255, 1009, 2310])
     def test_matches_brute_force(self, T):
         x = np.random.default_rng(T).standard_normal(T)
         res = periodogram(x)
@@ -67,6 +67,14 @@ class TestGphEstimate:
     def test_default_bandwidth(self):
         x = np.random.default_rng(0).standard_normal(1000)
         assert gph_estimate(x).bandwidth == 31
+
+    def test_constant_series_rejected(self):
+        with pytest.raises(ValueError, match="constant"):
+            gph_estimate(np.full(256, 1.5))
+
+    def test_fields_are_python_numbers(self):
+        est = gph_estimate(np.random.default_rng(2).standard_normal(300))
+        assert type(est.d_hat) is float and type(est.std_error) is float
 
     def test_exact_power_law_recovered(self):
         # synthetic ordinates following an exact power law: the regression

@@ -7,7 +7,6 @@ from scipy.signal import fftconvolve
 
 from nonfrac.fitloss import (
     approximation_loss,
-    arfima_zeta_as_displayed,
     best_matching_a,
     fit_ar_population,
     gamma_z,
@@ -17,7 +16,6 @@ from nonfrac.fitloss import (
 from nonfrac.model import (
     CsaParams,
     FracParams,
-    acf_csa,
     acf_csa_lags,
     csa_variance,
     frac_ma_coeffs,
@@ -29,7 +27,7 @@ class TestFitArPopulation:
         p = CsaParams(0.5, 1.6)
         coeffs = fit_ar_population(p, 1)
         assert coeffs.shape == (1,)
-        assert coeffs[0] == pytest.approx(acf_csa(p, 1), rel=1e-14)
+        assert coeffs[0] == pytest.approx(acf_csa_lags(p, 1)[1], rel=1e-14)
 
     @pytest.mark.parametrize("order", [2, 5, 20])
     def test_matches_dense_solve(self, order):
@@ -48,7 +46,7 @@ class TestZetaAr:
         # (B(a,b-1)/B(a,b)) (1 - rho_1^2)
         for a, b in ((0.1, 1.8), (0.5, 1.6), (1.7, 1.1)):
             p = CsaParams(a, b)
-            rho1 = acf_csa(p, 1)
+            rho1 = acf_csa_lags(p, 1)[1]
             closed = (a + b - 1.0) / (b - 1.0) * (1.0 - rho1**2)
             general = zeta_ar(p, fit_ar_population(p, 1))
             assert general == pytest.approx(closed, rel=1e-12)
@@ -85,7 +83,7 @@ class TestGammaZ:
         p = CsaParams(0.5, 1.6)
         d = p.memory_d
         J = 200_000
-        pi = frac_ma_coeffs(FracParams(-d), J).weights
+        pi = frac_ma_coeffs(FracParams(-d), J)
         r = fftconvolve(pi, pi[::-1])[J - 1 :]
         gx = csa_variance(p) * acf_csa_lags(p, J + 2)
         m = np.arange(1, J)
@@ -143,13 +141,14 @@ class TestZetaFractional:
         assert 1.0 < arfima.zeta < pure.zeta
 
     def test_displayed_expression_is_capped_at_one(self):
-        # raw expression (g0^2 - g1^2)/g0^2 = 1 - alpha^2: never exceeds 1,
-        # so it cannot be a relative error variance; kept for inspection
+        # the paper's expression (g0^2 - g1^2)/g0^2 = 1 - alpha^2 never
+        # exceeds 1, so it cannot be a relative error variance; zeta_fractional
+        # reports g0 times it
         p = CsaParams(0.5, 1.6)
-        displayed = arfima_zeta_as_displayed(p)
+        g0, g1 = gamma_z(p, 0), gamma_z(p, 1)
+        displayed = (g0**2 - g1**2) / g0**2
         _, arfima = zeta_fractional(p)
         assert displayed < 1.0
-        g0 = gamma_z(p, 0)
         assert arfima.zeta == pytest.approx(g0 * displayed, rel=1e-12)
 
 
@@ -157,7 +156,7 @@ class TestApproximationLoss:
     def test_hand_computed_k1(self):
         # single lag: squared gap between the two lag-1 autocorrelations
         a, d = 0.3, 0.2
-        gap = acf_csa(CsaParams(a, 1.6), 1) - 0.2 / 0.8
+        gap = acf_csa_lags(CsaParams(a, 1.6), 1)[1] - 0.2 / 0.8
         assert approximation_loss(1, a, d) == pytest.approx(gap**2, rel=1e-12)
 
     def test_zero_at_matched_decay_is_not_required(self):

@@ -22,7 +22,7 @@ class TestRecoverInnovations:
     def test_matches_dense_triangular_solve(self):
         T = 128
         x = generate_csa_fast(CSA, T, seed=11).values
-        phi = csa_ma_coeffs(CSA, T).weights
+        phi = csa_ma_coeffs(CSA, T)
         M = toeplitz(phi, np.zeros(T))
         dense = solve_triangular(M, x, lower=True)
         nu = recover_innovations(x, CSA)
@@ -46,7 +46,7 @@ class TestForecastCsa:
     def test_noise_free_continuation_recovered(self):
         # if the path is the pure impulse response, the forecast continues it
         T, h = 200, 20
-        phi = csa_ma_coeffs(CSA, T + h).weights
+        phi = csa_ma_coeffs(CSA, T + h)
         res = forecast_csa(phi[:T], CSA, h)
         np.testing.assert_allclose(res.point_forecasts, phi[T:], atol=1e-8)
 
@@ -55,7 +55,7 @@ class TestForecastCsa:
         T, h = 100, 5
         x = generate_csa_fast(CSA, T, seed=13).values
         res = forecast_csa(x, CSA, h)
-        phi = csa_ma_coeffs(CSA, T + h).weights
+        phi = csa_ma_coeffs(CSA, T + h)
         nu = res.innovations
         for i in range(1, h + 1):
             brute = sum(phi[j] * nu[T - 1 + i - j] for j in range(i, T + i))

@@ -50,6 +50,35 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_file(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("replications", 2.5), ("sample_size", "64"), ("master_seed", True), ("master_seed", -1)],
+    )
+    def test_bad_integer_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(experiment="table1", **{field: value})
+
+    @pytest.mark.parametrize("experiment", ["table2", "table3", "fig_acf_shortmem"])
+    def test_csa_only_grids(self, experiment):
+        with pytest.raises(ValueError, match="csa"):
+            ExperimentConfig(experiment=experiment, parameter_grid=(FracParams(0.2),))
+
+    def test_table3_needs_b_below_two(self):
+        with pytest.raises(ValueError, match="table3"):
+            ExperimentConfig(experiment="table3", parameter_grid=(CsaParams(0.5, 2.5),))
+
+    def test_from_file_not_an_object(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_file(path)
+
+    def test_from_file_missing_process(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "table1", "parameter_grid": [{"d": 0.2}]}))
+        with pytest.raises(ValueError, match="process"):
+            ExperimentConfig.from_file(path)
+
     def test_describe_is_json_serializable(self):
         cfg = ExperimentConfig(experiment="table2")
         json.dumps(cfg.describe())
@@ -82,6 +111,11 @@ class TestResolveWorkers:
 
     def test_floor_of_one(self):
         assert resolve_workers(0) == 1
+
+    def test_env_not_integer(self, monkeypatch):
+        monkeypatch.setenv("NONFRAC_WORKERS", "abc")
+        with pytest.raises(ValueError, match="NONFRAC_WORKERS"):
+            resolve_workers()
 
 
 class TestRunExperiment:
@@ -170,6 +204,11 @@ class TestResultWriters:
         assert payload["metadata"]["config"]["experiment"] == "table2"
         assert len(payload["rows"]) == len(result.rows)
         assert payload["rows"][0]["value"] == result.rows[0]["value"]
+
+    def test_numpy_floats_written_as_plain_digits(self, tmp_path):
+        path = tmp_path / "out.csv"
+        ExperimentResult(rows=({"value": np.float64(0.25), "n": 3},), metadata={}).write_csv(path)
+        assert path.read_text().splitlines()[1:] == ["value,n", "0.25,3"]
 
     def test_no_leftover_temp_files(self, result, tmp_path):
         result.write_csv(tmp_path / "a.csv")

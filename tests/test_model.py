@@ -2,21 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import betaln, gammaln, gammasgn
 
 from nonfrac.model import (
     CsaParams,
     FracParams,
-    acf_csa,
     acf_csa_lags,
-    acf_frac,
     acf_frac_lags,
     csa_ma_coeffs,
     csa_spectrum_at_zero,
     csa_variance,
     frac_ma_coeffs,
 )
-from nonfrac.specfun import ConvergenceError, beta_ratio_sequence, log_beta, signed_log_gamma
+from nonfrac.specfun import ConvergenceError, beta_ratio_sequence
 
 
 class TestParams:
@@ -41,80 +39,90 @@ class TestParams:
 
 class TestFracMaCoeffs:
     def test_no_memory(self):
-        np.testing.assert_allclose(frac_ma_coeffs(FracParams(0.0), 4).weights, [1, 0, 0, 0])
+        np.testing.assert_allclose(frac_ma_coeffs(FracParams(0.0), 4), [1, 0, 0, 0])
 
     def test_first_steps(self):
-        w = frac_ma_coeffs(FracParams(0.4), 3).weights
+        w = frac_ma_coeffs(FracParams(0.4), 3)
         assert w[0] == 1.0
         assert w[1] == pytest.approx(0.4)
         assert w[2] == pytest.approx(0.4 * 1.4 / 2)
 
     def test_negative_d_signs(self):
-        w = frac_ma_coeffs(FracParams(-0.2), 50).weights
+        w = frac_ma_coeffs(FracParams(-0.2), 50)
         assert w[0] == 1.0
         assert np.all(w[1:] < 0)
 
     def test_against_gamma_formula(self):
         # pi_j = Gamma(j+d) / (Gamma(d) Gamma(j+1)) via sign-tracked log-gamma
         d = -0.2
-        w = frac_ma_coeffs(FracParams(d), 10_001).weights
-        sd, ld = signed_log_gamma(d)
+        w = frac_ma_coeffs(FracParams(d), 10_001)
         for j in (1, 10, 100, 1000, 10_000):
-            sj, lj = signed_log_gamma(j + d)
-            expected = sj / sd * math.exp(lj - ld - gammaln(j + 1))
+            sign = gammasgn(j + d) / gammasgn(d)
+            expected = sign * math.exp(gammaln(j + d) - gammaln(d) - gammaln(j + 1))
             assert w[j] == pytest.approx(expected, rel=1e-10)
 
 
 class TestCsaMaCoeffs:
     def test_leading_weight(self):
-        w = csa_ma_coeffs(CsaParams(0.7, 1.9), 3).weights
+        w = csa_ma_coeffs(CsaParams(0.7, 1.9), 3)
         assert w[0] == 1.0
 
     def test_square_is_beta_ratio(self):
         # phi_1^2 = B(a+1,b)/B(a,b) = a/(a+b); at (1, 1) that is 1/2
         assert beta_ratio_sequence(1.0, 1.0, 1)[1] == pytest.approx(0.5)
-        w = csa_ma_coeffs(CsaParams(1.0, 2.0), 2).weights
+        w = csa_ma_coeffs(CsaParams(1.0, 2.0), 2)
         assert w[1] == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-14)
 
     def test_positive_decreasing(self):
-        w = csa_ma_coeffs(CsaParams(0.2, 1.6), 500).weights
+        w = csa_ma_coeffs(CsaParams(0.2, 1.6), 500)
         assert np.all(w > 0)
         assert np.all(np.diff(w) < 0)
 
     def test_against_log_gamma_route(self):
         a, b = 0.2, 1.2
-        w = csa_ma_coeffs(CsaParams(a, b), 101).weights
+        w = csa_ma_coeffs(CsaParams(a, b), 101)
         for j in (1, 10, 100):
-            expected = math.exp((log_beta(a + j, b) - log_beta(a, b)) / 2.0)
+            expected = math.exp((betaln(a + j, b) - betaln(a, b)) / 2.0)
             assert w[j] == pytest.approx(expected, rel=1e-10)
 
 
 class TestAcf:
     def test_lag_zero(self):
-        assert acf_frac(FracParams(0.3), 0) == 1.0
-        assert acf_csa(CsaParams(0.4, 1.7), 0) == 1.0
+        assert acf_frac_lags(FracParams(0.3), 0).tolist() == [1.0]
+        assert acf_csa_lags(CsaParams(0.4, 1.7), 0).tolist() == [1.0]
 
     def test_frac_one_step(self):
-        assert acf_frac(FracParams(0.2), 1) == pytest.approx(0.25)
-        assert acf_frac(FracParams(-0.2), 1) == pytest.approx(-0.2 / 1.2)
+        assert acf_frac_lags(FracParams(0.2), 1)[1] == pytest.approx(0.25)
+        assert acf_frac_lags(FracParams(-0.2), 1)[1] == pytest.approx(-0.2 / 1.2)
 
     def test_csa_integer_beta(self):
         # B(2,1)/B(1,1) = 1/2 at a=1, b=2, k=2
-        assert acf_csa(CsaParams(1.0, 2.0), 2) == pytest.approx(0.5, rel=1e-12)
+        assert acf_csa_lags(CsaParams(1.0, 2.0), 2)[2] == pytest.approx(0.5, rel=1e-12)
 
     def test_csa_domain(self):
         with pytest.raises(ValueError):
-            acf_csa(CsaParams(1.0, 1.5), -1)
+            acf_csa_lags(CsaParams(1.0, 1.5), -1)
+
+    def test_frac_domain(self):
+        with pytest.raises(ValueError):
+            acf_frac_lags(FracParams(0.2), -1)
 
     def test_lags_match_scalar(self):
+        # each lag against its own closed form in Python floats
         p = CsaParams(0.3, 1.4)
         seq = acf_csa_lags(p, 20)
         for k in (0, 1, 7, 20):
-            assert seq[k] == pytest.approx(acf_csa(p, k), rel=1e-13)
-        f = FracParams(-0.3)
-        seq = acf_frac_lags(f, 20)
+            expected = math.exp(
+                math.lgamma(p.a + k / 2) - math.lgamma(p.a + k / 2 + p.b - 1)
+                - math.lgamma(p.a) + math.lgamma(p.a + p.b - 1)
+            )
+            assert seq[k] == pytest.approx(expected, rel=1e-13)
+        d = -0.3
+        seq = acf_frac_lags(FracParams(d), 20)
         for k in (0, 1, 7, 20):
-            assert seq[k] == pytest.approx(acf_frac(f, k), rel=1e-13)
+            # Gamma(k+d)Gamma(1-d) / (Gamma(k-d+1)Gamma(d)), with Gamma(d) < 0
+            expected = math.gamma(k + d) * math.gamma(1 - d) / (math.gamma(k - d + 1) * math.gamma(d))
+            assert seq[k] == pytest.approx(expected, rel=1e-13)
 
     def test_sign_dichotomy(self):
         # for negative memory the fractional ACF is negative at every lag
@@ -145,7 +153,7 @@ class TestCsaVariance:
 
     def test_definition_instantiation(self):
         p = CsaParams(0.2, 2.4)
-        expected = math.exp(log_beta(0.2, 1.4) - log_beta(0.2, 2.4))
+        expected = math.exp(betaln(0.2, 1.4) - betaln(0.2, 2.4))
         assert csa_variance(p) == pytest.approx(expected, rel=1e-12)
 
     def test_partial_sum_limit(self):

@@ -31,14 +31,14 @@ class TestImpulseResponses:
         impulse = np.zeros(T)
         impulse[0] = 1.0
         out = generate_csa_fast(CSA, T, seed=0, innovations=impulse)
-        np.testing.assert_allclose(out.values, csa_ma_coeffs(CSA, T).weights, atol=1e-10)
+        np.testing.assert_allclose(out.values, csa_ma_coeffs(CSA, T), atol=1e-10)
 
     def test_frac_fast_impulse(self):
         T = 64
         impulse = np.zeros(T)
         impulse[0] = 1.0
         out = generate_frac_fast(FracParams(0.3), T, seed=0, innovations=impulse)
-        np.testing.assert_allclose(out.values, frac_ma_coeffs(FracParams(0.3), T).weights, atol=1e-10)
+        np.testing.assert_allclose(out.values, frac_ma_coeffs(FracParams(0.3), T), atol=1e-10)
 
     def test_frac_identity_at_zero_memory(self):
         rng = np.random.default_rng(9)
@@ -93,13 +93,13 @@ class TestDistribution:
             covs[r] = sample_autocov(generate_csa_fast(CSA, T, seed).values, max_lag)
         mean = covs.mean(axis=0)
         se = covs.std(axis=0, ddof=1) / np.sqrt(reps)
-        theory = truncated_autocov_expectation(csa_ma_coeffs(CSA, T).weights, T, max_lag)
+        theory = truncated_autocov_expectation(csa_ma_coeffs(CSA, T), T, max_lag)
         assert np.all(np.abs(mean - theory) < 3.0 * se)
         # the truncated-filter correlations converge to the filter's own
         # long-run ACF, which sits strictly above the aggregation-limit
         # closed form at every positive lag (Cauchy-Schwarz on the weights)
         J = 1_000_000
-        w = csa_ma_coeffs(CSA, J).weights
+        w = csa_ma_coeffs(CSA, J)
         longrun = np.array(
             [float(np.dot(w[: J - k], w[k:])) for k in range(max_lag + 1)]
         )
@@ -107,7 +107,7 @@ class TestDistribution:
         gaps = []
         for size in (512, 8192, 131072):
             trunc = truncated_autocov_expectation(
-                csa_ma_coeffs(CSA, size).weights, size, max_lag
+                csa_ma_coeffs(CSA, size), size, max_lag
             )
             gaps.append(np.max(np.abs(trunc / trunc[0] - longrun)))
         assert gaps[2] < gaps[1] < gaps[0]
@@ -123,13 +123,13 @@ class TestDistribution:
             covs[r] = sample_autocov(generate_frac_fast(p, T, seed).values, max_lag)
         mean = covs.mean(axis=0)
         se = covs.std(axis=0, ddof=1) / np.sqrt(reps)
-        theory = truncated_autocov_expectation(frac_ma_coeffs(p, T).weights, T, max_lag)
+        theory = truncated_autocov_expectation(frac_ma_coeffs(p, T), T, max_lag)
         assert np.all(np.abs(mean - theory) < 3.0 * se)
         closed = acf_frac_lags(p, max_lag)
         gaps = []
         for size in (512, 8192, 131072):
             trunc = truncated_autocov_expectation(
-                frac_ma_coeffs(p, size).weights, size, max_lag
+                frac_ma_coeffs(p, size), size, max_lag
             )
             gaps.append(np.max(np.abs(trunc / trunc[0] - closed)))
         assert gaps[2] < gaps[1] < gaps[0]
@@ -162,7 +162,7 @@ class TestDistribution:
             seed = np.random.SeedSequence((808, r))
             vs[r] = float(np.mean(generate_csa_fast(CSA, T, seed).values ** 2))
         se = vs.std(ddof=1) / np.sqrt(reps)
-        phi = csa_ma_coeffs(CSA, T).weights
+        phi = csa_ma_coeffs(CSA, T)
         truncated_expect = float(np.mean(np.cumsum(phi**2)))
         assert abs(vs.mean() - truncated_expect) < 3.0 * se
         from nonfrac.model import csa_variance
