@@ -14,6 +14,7 @@ from .model import (
     FracParams,
     acf_csa_lags,
     acf_frac_lags,
+    csa_aggregate_spectrum_at_zero,
     csa_ma_coeffs,
     csa_spectrum_at_zero,
     csa_variance,
@@ -58,6 +59,7 @@ __all__ = [
     "approximation_loss",
     "benchmark_generation",
     "best_matching_a",
+    "csa_aggregate_spectrum_at_zero",
     "csa_ma_coeffs",
     "csa_spectrum_at_zero",
     "csa_variance",

@@ -33,7 +33,7 @@ from .model import (
     FracParams,
     acf_csa_lags,
     acf_frac_lags,
-    csa_spectrum_at_zero,
+    csa_aggregate_spectrum_at_zero,
 )
 from .simulate import benchmark_generation, generate_csa_fast, generate_csa_naive, generate_frac_fast
 from .specfun import ConvergenceError
@@ -184,10 +184,10 @@ def acf(process, a, b, d, max_lag, out):
 @click.option("--b", type=float, required=True)
 @click.option("--sigma", type=float, default=1.0)
 def spectrum(a, b, sigma):
-    """Spectral density of CSA(a, b) at the origin (requires b > 2)."""
+    """Spectral density at the origin of the CSA(a, b) aggregate (requires b > 2)."""
     params = _csa_params(a, b, sigma)
     try:
-        value = csa_spectrum_at_zero(params)
+        value = csa_aggregate_spectrum_at_zero(params)
     except ConvergenceError as exc:
         raise click.ClickException(str(exc))
     click.echo(repr(value))

@@ -1,19 +1,28 @@
 """Minimum mean-square-error forecasting for CSA processes.
 
-The observed path is the MA filter applied to truncated innovations, so the
-innovations come back by inverting a unit-diagonal triangular Toeplitz
-system (forward substitution, O(T^2) time and O(T) memory); forecasts then
-extrapolate the MA weights over the recovered innovations.
+The observed path is the MA filter applied to truncated innovations,
+x = phi * nu, so the innovations are nu = g * x with g the power-series
+inverse of phi(z). g comes from Newton iteration on power series
+(Brent & Kung 1978, "Fast algorithms for manipulating formal power
+series"), which doubles the number of correct coefficients with each
+pair of FFT convolutions; forecasts are one more convolution of the
+innovations with the weights extended to the horizon. Every step is
+O(T log T) time and O(T) memory.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg import solve_triangular, toeplitz
 
 from .model import csa_ma_coeffs
+from .spectral import circular_convolve
 
 __all__ = ["ForecastResult", "recover_innovations", "forecast_csa"]
+
+# Coefficients of 1/phi solved densely before the Newton doublings start;
+# below this a doubling's fixed cost exceeds the O(k^2) triangular solve.
+_DENSE_TERMS = 128
 
 
 @dataclass(frozen=True)
@@ -24,22 +33,51 @@ class ForecastResult:
     reconstruction_error: float  # max abs error of re-filtering the innovations
 
 
+def _inverse_series(phi):
+    """First len(phi) coefficients of the power series 1 / phi(z).
+
+    The leading coefficients come from the unit-lower-triangular Toeplitz
+    system of phi; each Newton step g <- g - g (phi g - 1) mod z^{2k} then
+    extends k correct coefficients to 2k. Since phi g - 1 vanishes below
+    z^k, only its upper half e enters, and the new coefficients are
+    -(g * e) truncated to the new half.
+    """
+    n = phi.size
+    k = min(n, _DENSE_TERMS)
+    g = np.zeros(n)
+    unit = np.zeros(k)
+    unit[0] = 1.0
+    g[:k] = solve_triangular(toeplitz(phi[:k], np.zeros(k)), unit, lower=True)
+    while k < n:
+        k2 = min(2 * k, n)
+        e = circular_convolve(phi[:k2], g[:k2])[k:]
+        g[k:k2] = -circular_convolve(g[: k2 - k], e)
+        k = k2
+    return g
+
+
 def recover_innovations(x, p):
     """Solve nu_i = x_i - sum_{j=1}^{i} phi_j nu_{i-j} for i = 0..T-1.
 
-    Implemented as an all-pole filter with coefficient vector phi, which is
-    exactly the forward substitution on the triangular Toeplitz system.
+    This is the unit-lower-triangular Toeplitz system x = Phi nu. Its
+    solution is the convolution of x with the power-series inverse of the
+    MA weights, computed by Newton iteration in O(T log T).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("x must be a nonempty 1-d sequence")
     phi = csa_ma_coeffs(p, x.size)
-    return lfilter([1.0], phi, x)
+    return circular_convolve(_inverse_series(phi), x)
 
 
 def forecast_csa(x, p, h):
     """Minimum-MSE forecasts x_hat_{T+i} = sum_{j=i}^{T-1+i} phi_j nu_{T-1+i-j}
-    for i = 1..h, with the weights extended to length T+h."""
+    for i = 1..h, with the weights extended to length T+h.
+
+    One convolution of the zero-padded innovations with those weights gives
+    both the re-filtered path (its first T entries, behind
+    `reconstruction_error`) and the forecasts (its last h entries).
+    """
     x = np.asarray(x, dtype=float)
     T = x.size
     if h < 1:
@@ -47,13 +85,10 @@ def forecast_csa(x, p, h):
     if h > T:
         raise ValueError(f"horizon {h} exceeds sample size {T}")
     nu = recover_innovations(x, p)
-    phi = csa_ma_coeffs(p, T + h)
-    nu_rev = nu[::-1]
-    forecasts = np.array([float(np.dot(phi[i : i + T], nu_rev)) for i in range(1, h + 1)])
-    recon = lfilter(phi[:T], [1.0], nu)
+    y = circular_convolve(np.concatenate([nu, np.zeros(h)]), csa_ma_coeffs(p, T + h))
     return ForecastResult(
         horizon=h,
-        point_forecasts=forecasts,
+        point_forecasts=y[T:],
         innovations=nu,
-        reconstruction_error=float(np.max(np.abs(recon - x))),
+        reconstruction_error=float(np.max(np.abs(y[:T] - x))),
     )

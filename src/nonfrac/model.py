@@ -25,6 +25,7 @@ __all__ = [
     "acf_csa_lags",
     "csa_variance",
     "csa_spectrum_at_zero",
+    "csa_aggregate_spectrum_at_zero",
 ]
 
 
@@ -126,27 +127,59 @@ def csa_variance(p):
     return p.sigma_eps**2 * (p.a + p.b - 1.0) / (p.b - 1.0)
 
 
-def csa_spectrum_at_zero(p, rel_tol=1e-8):
-    """Spectral density of CSA(a, b) at the origin for b > 2:
-    (sigma^2 / 2 pi) * (sum_j phi_j)^2.
+def _algebraic_series_sum(terms, exponent, what, rel_tol):
+    """sum_{j >= 0} t_j of a series whose terms decay like j^{-exponent}.
 
-    The weight sum converges only for b > 2 (negative-memory regime); the
-    truncation point doubles until the analytic tail estimate (the weights
-    decay like j^{-b/2}) leaves the total stable to `rel_tol`.
+    `terms(n)` returns t_0..t_n. The truncation point n doubles from 4096
+    until the partial sum plus the analytic tail estimate is stable to
+    `rel_tol`. Both CSA series summed here converge exactly when b > 2.
     """
-    if p.b <= 2:
-        raise ConvergenceError(
-            f"weight sum diverges for b = {p.b} <= 2 (memory is nonnegative)"
-        )
+    if exponent <= 1:
+        raise ConvergenceError(f"{what} diverges (b <= 2: memory is nonnegative)")
     n = 4096
     prev = None
     while n <= 2**24:
-        phi = np.sqrt(beta_ratio_sequence(p.a, p.b, n))
-        total = float(phi.sum()) + algebraic_tail_estimate(phi, p.b / 2.0, n)
+        t = terms(n)
+        total = float(t.sum()) + algebraic_tail_estimate(t, exponent, n)
         if prev is not None and abs(total - prev) <= rel_tol * abs(total):
-            return p.sigma_eps**2 / (2.0 * np.pi) * total**2
+            return total
         prev = total
         n *= 2
-    raise ConvergenceError(
-        f"weight sum not stable to {rel_tol} after {n // 2} terms (b = {p.b})"
+    raise ConvergenceError(f"{what} not stable to {rel_tol} after {n // 2} terms")
+
+
+def csa_spectrum_at_zero(p, rel_tol=1e-8):
+    """Spectral density at the origin of the paper's MA filter for
+    CSA(a, b), b > 2: (sigma^2 / 2 pi) * (sum_j phi_j)^2.
+
+    This is the filter's value, not the aggregate's: the weights phi_j are
+    not the Wold weights of CSA(a, b), they overshoot its autocovariances,
+    and this exceeds `csa_aggregate_spectrum_at_zero` (2.2-3.5 times at
+    (a, b) = (0.2, 2.4), (0.2, 2.8), (0.5, 3.0), (1.0, 2.5)). The weight
+    sum converges only for b > 2 (the weights decay like j^{-b/2}).
+    """
+    total = _algebraic_series_sum(
+        lambda n: np.sqrt(beta_ratio_sequence(p.a, p.b, n)),
+        p.b / 2.0,
+        f"weight sum for b = {p.b}",
+        rel_tol,
     )
+    return p.sigma_eps**2 / (2.0 * np.pi) * total**2
+
+
+def csa_aggregate_spectrum_at_zero(p, rel_tol=1e-8):
+    """Spectral density at the origin of the CSA(a, b) aggregate, b > 2:
+    (gamma_0 / 2 pi) * (1 + 2 sum_{k >= 1} rho_k) with gamma_0 the
+    `csa_variance`, which equals (sigma^2 / 2 pi) E[(1 - alpha)^{-2}] with
+    alpha^2 ~ Beta(a, b).
+
+    The autocorrelations decay like k^{1-b}, so the sum converges only for
+    b > 2.
+    """
+    total = _algebraic_series_sum(
+        lambda n: acf_csa_lags(p, n),
+        p.b - 1.0,
+        f"autocorrelation sum for b = {p.b}",
+        rel_tol,
+    )
+    return csa_variance(p) / (2.0 * np.pi) * (2.0 * total - 1.0)

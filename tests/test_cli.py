@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from nonfrac.cli import main
+from nonfrac.model import CsaParams, csa_aggregate_spectrum_at_zero, csa_spectrum_at_zero
 
 
 @pytest.fixture()
@@ -139,9 +140,12 @@ class TestAcfSpectrumGph:
         assert res.exit_code == 1  # numerical failure: divergent sum
 
     def test_spectrum_value(self, runner):
+        # the aggregate's value, not the paper filter's
         res = runner.invoke(main, ["spectrum", "--a", "1.0", "--b", "2.8"])
         assert res.exit_code == 0
-        assert float(res.output.strip()) > 0
+        value = float(res.output.strip())
+        assert value == csa_aggregate_spectrum_at_zero(CsaParams(1.0, 2.8))
+        assert value < csa_spectrum_at_zero(CsaParams(1.0, 2.8))
 
     def test_gph_on_simulated_series(self, runner, tmp_path):
         series = tmp_path / "x.csv"

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular, toeplitz
@@ -7,6 +10,11 @@ from nonfrac.model import CsaParams, csa_ma_coeffs
 from nonfrac.simulate import generate_csa_fast
 
 CSA = CsaParams(0.3, 1.5)
+
+# slow and fast weight decay, long and short memory; T straddles the dense
+# seed (128 terms) and the first Newton doublings
+ORACLE_PARAMS = [(0.05, 1.02), (0.3, 1.5), (2.0, 3.9), (10.0, 8.0)]
+ORACLE_T = [1, 2, 127, 128, 129, 257, 1000]
 
 
 class TestRecoverInnovations:
@@ -27,6 +35,16 @@ class TestRecoverInnovations:
         dense = solve_triangular(M, x, lower=True)
         nu = recover_innovations(x, CSA)
         np.testing.assert_allclose(nu, dense, atol=1e-10)
+
+    @pytest.mark.parametrize("a, b", ORACLE_PARAMS)
+    @pytest.mark.parametrize("T", ORACLE_T)
+    def test_matches_dense_solve_across_newton_edges(self, a, b, T):
+        p = CsaParams(a, b)
+        x = generate_csa_fast(p, T, seed=T).values
+        phi = csa_ma_coeffs(p, T)
+        dense = solve_triangular(toeplitz(phi, np.zeros(T)), x, lower=True)
+        nu = recover_innovations(x, p)
+        np.testing.assert_allclose(nu, dense, rtol=0, atol=1e-12 * np.max(np.abs(x)))
 
     def test_first_innovation_is_first_observation(self):
         x = generate_csa_fast(CSA, 16, seed=2).values
@@ -50,9 +68,10 @@ class TestForecastCsa:
         res = forecast_csa(phi[:T], CSA, h)
         np.testing.assert_allclose(res.point_forecasts, phi[T:], atol=1e-8)
 
-    def test_matches_brute_force_definition(self):
-        # x_hat_{T+i} = sum_{j=i}^{T-1+i} phi_j nu_{T-1+i-j}, spelled out
-        T, h = 100, 5
+    @pytest.mark.parametrize("T, h", [(100, 5), (129, 129), (400, 400)])
+    def test_matches_brute_force_definition(self, T, h):
+        # x_hat_{T+i} = sum_{j=i}^{T-1+i} phi_j nu_{T-1+i-j}, spelled out;
+        # h = T is the largest horizon the CLI accepts
         x = generate_csa_fast(CSA, T, seed=13).values
         res = forecast_csa(x, CSA, h)
         phi = csa_ma_coeffs(CSA, T + h)
@@ -88,3 +107,10 @@ class TestForecastCsa:
         assert res.horizon == 3
         assert res.point_forecasts.shape == (3,)
         assert res.innovations.shape == (50,)
+
+
+def test_import_leaves_scipy_signal_out():
+    # scipy.signal costs about 1.6 s and 40 MB of start-up in every process
+    code = "import sys, nonfrac, nonfrac.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

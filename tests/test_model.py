@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import betaln, gammaln, gammasgn
+from scipy.integrate import quad
+from scipy.special import beta, betaln, gammaln, gammasgn
 
 from nonfrac.model import (
     CsaParams,
     FracParams,
     acf_csa_lags,
     acf_frac_lags,
+    csa_aggregate_spectrum_at_zero,
     csa_ma_coeffs,
     csa_spectrum_at_zero,
     csa_variance,
@@ -188,3 +190,32 @@ class TestSpectrumAtZero:
         for b in (1.5, 2.0):
             with pytest.raises(ConvergenceError):
                 csa_spectrum_at_zero(CsaParams(0.5, b))
+
+
+class TestAggregateSpectrumAtZero:
+    @pytest.mark.parametrize(
+        "a, b, printed",
+        [(0.2, 2.4, 0.605298), (0.2, 2.8, 0.406308), (0.5, 3.0, 0.696303), (1.0, 2.5, 2.576291)],
+    )
+    def test_against_beta_mixture_integral(self, a, b, printed):
+        # (sigma^2 / 2 pi) E[(1 - alpha)^-2] with alpha^2 ~ Beta(a, b): in alpha
+        # the density times (1 - alpha)^-2 is 2 alpha^{2a-1} (1-alpha)^{b-3}
+        # (1+alpha)^{b-1} / B(a, b), an algebraic weight times a smooth factor
+        sigma = 1.5
+        mean, _ = quad(lambda al: 2.0 * (1.0 + al) ** (b - 1.0), 0.0, 1.0,
+                       weight="alg", wvar=(2.0 * a - 1.0, b - 3.0))
+        oracle = sigma**2 / (2.0 * math.pi) * mean / beta(a, b)
+        val = csa_aggregate_spectrum_at_zero(CsaParams(a, b, sigma))
+        assert val == pytest.approx(oracle, rel=1e-6)
+        assert val / sigma**2 == pytest.approx(printed, abs=1e-6)
+
+    def test_below_the_filter_value(self):
+        # the filter overshoots every positive-lag autocovariance of the aggregate
+        for a, b in [(0.2, 2.4), (1.0, 2.5), (2.0, 3.9)]:
+            p = CsaParams(a, b)
+            assert csa_aggregate_spectrum_at_zero(p) < csa_spectrum_at_zero(p)
+
+    def test_divergence_error(self):
+        for b in (1.5, 2.0):
+            with pytest.raises(ConvergenceError):
+                csa_aggregate_spectrum_at_zero(CsaParams(0.5, b))
