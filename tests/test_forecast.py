@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular, toeplitz
 
+import nonfrac
 from nonfrac.forecast import forecast_csa, recover_innovations
 from nonfrac.model import CsaParams, csa_ma_coeffs
 from nonfrac.simulate import generate_csa_fast
@@ -15,6 +17,17 @@ CSA = CsaParams(0.3, 1.5)
 # seed (128 terms) and the first Newton doublings
 ORACLE_PARAMS = [(0.05, 1.02), (0.3, 1.5), (2.0, 3.9), (10.0, 8.0)]
 ORACLE_T = [1, 2, 127, 128, 129, 257, 1000]
+
+
+def _assert_brute_force_forecasts(T, h):
+    # x_hat_{T+i} = sum_{j=i}^{T-1+i} phi_j nu_{T-1+i-j}, spelled out
+    x = generate_csa_fast(CSA, T, seed=13).values
+    res = forecast_csa(x, CSA, h)
+    phi = csa_ma_coeffs(CSA, T + h)
+    nu = res.innovations
+    for i in range(1, h + 1):
+        brute = sum(phi[j] * nu[T - 1 + i - j] for j in range(i, T + i))
+        assert res.point_forecasts[i - 1] == pytest.approx(brute, rel=1e-10)
 
 
 class TestRecoverInnovations:
@@ -68,17 +81,13 @@ class TestForecastCsa:
         res = forecast_csa(phi[:T], CSA, h)
         np.testing.assert_allclose(res.point_forecasts, phi[T:], atol=1e-8)
 
-    @pytest.mark.parametrize("T, h", [(100, 5), (129, 129), (400, 400)])
-    def test_matches_brute_force_definition(self, T, h):
-        # x_hat_{T+i} = sum_{j=i}^{T-1+i} phi_j nu_{T-1+i-j}, spelled out;
+    def test_matches_brute_force_definition(self):
+        _assert_brute_force_forecasts(100, 5)
+
+    @pytest.mark.parametrize("T", [129, 400])
+    def test_matches_brute_force_at_horizon_T(self, T):
         # h = T is the largest horizon the CLI accepts
-        x = generate_csa_fast(CSA, T, seed=13).values
-        res = forecast_csa(x, CSA, h)
-        phi = csa_ma_coeffs(CSA, T + h)
-        nu = res.innovations
-        for i in range(1, h + 1):
-            brute = sum(phi[j] * nu[T - 1 + i - j] for j in range(i, T + i))
-            assert res.point_forecasts[i - 1] == pytest.approx(brute, rel=1e-10)
+        _assert_brute_force_forecasts(T, T)
 
     def test_one_step_error_is_next_innovation(self):
         # the truncated process satisfies x_{T+1} = forecast + eps_{T+1}
@@ -110,7 +119,9 @@ class TestForecastCsa:
 
 
 def test_import_leaves_scipy_signal_out():
-    # scipy.signal costs about 1.6 s and 40 MB of start-up in every process
-    code = "import sys, nonfrac, nonfrac.cli; print('scipy.signal' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    # importing scipy.signal adds about 1 s and 40 MB to every process's start-up
+    code = "import sys, nonfrac, nonfrac.cli; print(nonfrac.__file__, 'scipy.signal' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(nonfrac.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.split() == [nonfrac.__file__, "False"]
