@@ -167,19 +167,19 @@ def csa_spectrum_at_zero(p, rel_tol=1e-8):
     return p.sigma_eps**2 / (2.0 * np.pi) * total**2
 
 
-def csa_aggregate_spectrum_at_zero(p, rel_tol=1e-8):
+def csa_aggregate_spectrum_at_zero(p):
     """Spectral density at the origin of the CSA(a, b) aggregate, b > 2:
     (gamma_0 / 2 pi) * (1 + 2 sum_{k >= 1} rho_k) with gamma_0 the
     `csa_variance`, which equals (sigma^2 / 2 pi) E[(1 - alpha)^{-2}] with
     alpha^2 ~ Beta(a, b).
 
     The autocorrelations decay like k^{1-b}, so the sum converges only for
-    b > 2.
+    b > 2; it is summed to a relative 1e-8.
     """
     total = _algebraic_series_sum(
         lambda n: acf_csa_lags(p, n),
         p.b - 1.0,
         f"autocorrelation sum for b = {p.b}",
-        rel_tol,
+        1e-8,
     )
     return csa_variance(p) / (2.0 * np.pi) * (2.0 * total - 1.0)

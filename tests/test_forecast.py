@@ -19,15 +19,17 @@ ORACLE_PARAMS = [(0.05, 1.02), (0.3, 1.5), (2.0, 3.9), (10.0, 8.0)]
 ORACLE_T = [1, 2, 127, 128, 129, 257, 1000]
 
 
-def _assert_brute_force_forecasts(T, h):
+def _brute_force_forecasts(phi, nu, h):
     # x_hat_{T+i} = sum_{j=i}^{T-1+i} phi_j nu_{T-1+i-j}, spelled out
+    T = nu.size
+    return [sum(phi[j] * nu[T - 1 + i - j] for j in range(i, T + i)) for i in range(1, h + 1)]
+
+
+def _assert_brute_force_forecasts(T, h):
     x = generate_csa_fast(CSA, T, seed=13).values
     res = forecast_csa(x, CSA, h)
-    phi = csa_ma_coeffs(CSA, T + h)
-    nu = res.innovations
-    for i in range(1, h + 1):
-        brute = sum(phi[j] * nu[T - 1 + i - j] for j in range(i, T + i))
-        assert res.point_forecasts[i - 1] == pytest.approx(brute, rel=1e-10)
+    brute = _brute_force_forecasts(csa_ma_coeffs(CSA, T + h), res.innovations, h)
+    assert list(res.point_forecasts) == pytest.approx(brute, rel=1e-10)
 
 
 class TestRecoverInnovations:
@@ -41,23 +43,16 @@ class TestRecoverInnovations:
         assert np.max(np.abs(nu - eps)) < 1e-8
 
     def test_matches_dense_triangular_solve(self):
-        T = 128
-        x = generate_csa_fast(CSA, T, seed=11).values
-        phi = csa_ma_coeffs(CSA, T)
-        M = toeplitz(phi, np.zeros(T))
-        dense = solve_triangular(M, x, lower=True)
-        nu = recover_innovations(x, CSA)
-        np.testing.assert_allclose(nu, dense, atol=1e-10)
-
-    @pytest.mark.parametrize("a, b", ORACLE_PARAMS)
-    @pytest.mark.parametrize("T", ORACLE_T)
-    def test_matches_dense_solve_across_newton_edges(self, a, b, T):
-        p = CsaParams(a, b)
-        x = generate_csa_fast(p, T, seed=T).values
-        phi = csa_ma_coeffs(p, T)
-        dense = solve_triangular(toeplitz(phi, np.zeros(T)), x, lower=True)
-        nu = recover_innovations(x, p)
-        np.testing.assert_allclose(nu, dense, rtol=0, atol=1e-12 * np.max(np.abs(x)))
+        for a, b in ORACLE_PARAMS:
+            for T in ORACLE_T:
+                p = CsaParams(a, b)
+                x = generate_csa_fast(p, T, seed=T).values
+                phi = csa_ma_coeffs(p, T)
+                dense = solve_triangular(toeplitz(phi, np.zeros(T)), x, lower=True)
+                nu = recover_innovations(x, p)
+                np.testing.assert_allclose(
+                    nu, dense, rtol=0, atol=1e-12 * np.max(np.abs(x)), err_msg=f"a={a}, b={b}, T={T}"
+                )
 
     def test_first_innovation_is_first_observation(self):
         x = generate_csa_fast(CSA, 16, seed=2).values
@@ -88,6 +83,24 @@ class TestForecastCsa:
     def test_matches_brute_force_at_horizon_T(self, T):
         # h = T is the largest horizon the CLI accepts
         _assert_brute_force_forecasts(T, T)
+
+    def test_matches_forward_substitution_at_slow_decay(self):
+        # b near 1: the weights decay like j^{-0.51}, so the Toeplitz matrix has
+        # a large norm and magnifies rounding in the innovations into the
+        # forecasts; the reference innovations come from forward substitution
+        T, h = 10_000, 20
+        p = CsaParams(10.0, 1.02)
+        x = generate_csa_fast(p, T, seed=T).values
+        phi = csa_ma_coeffs(p, T + h)
+        nu = np.empty(T)
+        nu[0] = x[0]
+        for i in range(1, T):
+            nu[i] = x[i] - phi[1 : i + 1] @ nu[i - 1 :: -1]
+        res = forecast_csa(x, p, h)
+        scale = np.max(np.abs(x))
+        np.testing.assert_allclose(res.innovations, nu, rtol=0, atol=1e-12 * scale)
+        brute = _brute_force_forecasts(phi, nu, h)
+        np.testing.assert_allclose(res.point_forecasts, brute, rtol=0, atol=1e-13 * scale)
 
     def test_one_step_error_is_next_innovation(self):
         # the truncated process satisfies x_{T+1} = forecast + eps_{T+1}
