@@ -39,7 +39,7 @@ from .fitloss import (
 )
 from .estimate import GphEstimate, PeriodogramResult, gph_estimate, periodogram
 from .harness import ExperimentConfig, ExperimentResult, run_experiment
-from .specfun import ConvergenceError, PfqSpec, hypergeometric_pfq
+from .specfun import ConvergenceError, hypergeometric_pfq
 
 __all__ = [
     "__version__",
@@ -53,7 +53,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "ConvergenceError",
-    "PfqSpec",
     "acf_csa_lags",
     "acf_frac_lags",
     "approximation_loss",

@@ -24,7 +24,6 @@ from .forecast import forecast_csa
 from .harness import (
     ExperimentConfig,
     params_to_dict,
-    resolve_workers,
     run_experiment,
     write_rows,
 )
@@ -271,6 +270,8 @@ def benchmark(a, b, sizes, runs, out):
         raise click.UsageError(f"cannot parse --sizes {sizes!r}")
     if not size_list or any(s < 1 for s in size_list):
         raise click.UsageError("--sizes needs positive integers")
+    if runs < 1:
+        raise click.UsageError(f"--runs must be >= 1, got {runs}")
     rows = benchmark_generation(params, size_list, runs=runs)
     for r in rows:
         click.echo(
@@ -284,10 +285,6 @@ def benchmark(a, b, sizes, runs, out):
 
 def _run(cfg, workers):
     try:
-        workers = resolve_workers(workers)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    try:
         return run_experiment(cfg, workers=workers)
     except ConvergenceError as exc:
         raise click.ClickException(str(exc))
@@ -298,7 +295,7 @@ def _run(cfg, workers):
 @click.option("--scale", type=click.Choice(["desk", "paper"]), default="desk", show_default=True)
 @click.option("--seed", type=int, default=20240817, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--workers", type=int, default=None, help="default NONFRAC_WORKERS or CPU count")
+@click.option("--workers", type=int, default=None, help="default CPU count")
 def table(which, scale, seed, out, workers):
     """Reproduce one of the efficiency-loss / misspecification tables."""
     kwargs = {"master_seed": seed}

@@ -23,17 +23,16 @@ class GphEstimate:
     bandwidth: int
 
 
-def periodogram(x, demean=True):
+def periodogram(x):
     """I(lambda_j) = |sum_t x_t exp(-i lambda_j t)|^2 / (2 pi T) at the
     positive Fourier frequencies, via one real FFT of any length. The mean
-    is removed first by default; simulated processes are zero-mean and this
-    only affects the excluded j=0 bin."""
+    is removed first; in exact arithmetic that only changes the excluded
+    j=0 bin."""
     x = np.asarray(x, dtype=float)
     T = x.size
     if T < 4:
         raise ValueError(f"need T >= 4, got {T}")
-    if demean:
-        x = x - x.mean()
+    x = x - x.mean()
     spec = np.fft.rfft(x)
     m = (T - 1) // 2
     j = np.arange(1, m + 1)
@@ -41,7 +40,7 @@ def periodogram(x, demean=True):
     return PeriodogramResult(frequencies=2.0 * np.pi * j / T, ordinates=ordinates)
 
 
-def gph_estimate(x, bandwidth=None, demean=True):
+def gph_estimate(x, bandwidth=None):
     """OLS of log I(lambda_j) on log lambda_j over j = 1..m; the memory
     estimate is -slope/2 and the standard error comes from the classical
     homoskedastic slope variance. Default bandwidth m = floor(sqrt(T)).
@@ -50,7 +49,7 @@ def gph_estimate(x, bandwidth=None, demean=True):
     T = x.size
     if bandwidth is None:
         bandwidth = int(np.floor(np.sqrt(T)))
-    pgram = periodogram(x, demean=demean)
+    pgram = periodogram(x)
     if x.min() == x.max():
         raise ValueError("constant series: the log-periodogram is undefined")
     if bandwidth > pgram.frequencies.size:

@@ -13,7 +13,7 @@ from scipy.linalg import solve_toeplitz
 from scipy.special import beta, gammaln, gammasgn
 
 from .model import CsaParams, FracParams, acf_csa_lags, acf_frac_lags
-from .specfun import PfqSpec, hypergeometric_pfq
+from .specfun import hypergeometric_pfq
 
 __all__ = [
     "EfficiencyReport",
@@ -24,6 +24,10 @@ __all__ = [
     "approximation_loss",
     "best_matching_a",
 ]
+
+MATCH_A_MAX = 5.0
+MATCH_GRID_POINTS = 100
+MATCH_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,7 @@ def _gamma_star(p, k, d):
     return float(p.sigma_eps**2 * sign * np.exp(gammaln(num).sum() - gammaln(den).sum()))
 
 
-def gamma_z(p, k, rel_tol=1e-12):
+def gamma_z(p, k):
     """Autocovariance at lag k of the d = 1 - b/2 fractional difference of a
     CSA(a, b) process, for b in (1, 2).
 
@@ -97,11 +101,8 @@ def gamma_z(p, k, rel_tol=1e-12):
 
     def f1_branch(s):
         return hypergeometric_pfq(
-            PfqSpec(
-                (1.0, a, (1.0 - d + s) / 2.0, (-d + s) / 2.0),
-                (a + b - 1.0, (2.0 + d + s) / 2.0, (1.0 + d + s) / 2.0),
-            ),
-            rel_tol,
+            (1.0, a, (1.0 - d + s) / 2.0, (-d + s) / 2.0),
+            (a + b - 1.0, (2.0 + d + s) / 2.0, (1.0 + d + s) / 2.0),
         )
 
     def f2_branch(s):
@@ -109,11 +110,8 @@ def gamma_z(p, k, rel_tol=1e-12):
             (-d + s)
             / (1.0 + d + s)
             * hypergeometric_pfq(
-                PfqSpec(
-                    (1.0, a + 0.5, (1.0 - d + s) / 2.0, (2.0 - d + s) / 2.0),
-                    (a + b - 0.5, (2.0 + d + s) / 2.0, (3.0 + d + s) / 2.0),
-                ),
-                rel_tol,
+                (1.0, a + 0.5, (1.0 - d + s) / 2.0, (2.0 - d + s) / 2.0),
+                (a + b - 0.5, (2.0 + d + s) / 2.0, (3.0 + d + s) / 2.0),
             )
         )
 
@@ -126,7 +124,7 @@ def gamma_z(p, k, rel_tol=1e-12):
     )
 
 
-def zeta_fractional(p, rel_tol=1e-12):
+def zeta_fractional(p):
     """Efficiency reports of the two fractional competitors fitted to a
     CSA(a, b) process with b in (1, 2).
 
@@ -136,8 +134,8 @@ def zeta_fractional(p, rel_tol=1e-12):
     = 1 - alpha_I^2 instead; that expression is capped at 1, so it cannot
     be a relative error variance, and it is not computed here.
     """
-    g0 = gamma_z(p, 0, rel_tol)
-    g1 = gamma_z(p, 1, rel_tol)
+    g0 = gamma_z(p, 0)
+    g1 = gamma_z(p, 1)
     alpha_i = g1 / g0
     pure = EfficiencyReport(model="pure_frac", fitted_params=(), zeta=g0, csa=p)
     arfima = EfficiencyReport(
@@ -159,13 +157,14 @@ def approximation_loss(k, a, d):
     return float(np.sum((frac - acf_csa_lags(csa, k)) ** 2))
 
 
-def best_matching_a(k, d, a_max=5.0, grid_points=100, tol=1e-8):
-    """Minimise approximation_loss over a in (0, a_max]: coarse grid bracket
-    followed by golden-section refinement. Deterministic; raises if the
-    coarse grid finds no interior minimum."""
+def best_matching_a(k, d):
+    """Minimise approximation_loss over a in (0, MATCH_A_MAX]: a bracket from
+    a grid of MATCH_GRID_POINTS values, then golden-section refinement to a
+    width of MATCH_TOL. Deterministic; raises if the coarse grid finds no
+    interior minimum."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    grid = np.linspace(a_max / grid_points, a_max, grid_points)
+    grid = np.linspace(MATCH_A_MAX / MATCH_GRID_POINTS, MATCH_A_MAX, MATCH_GRID_POINTS)
     losses = np.array([approximation_loss(k, a, d) for a in grid])
     i = int(np.argmin(losses))
     if i == 0 or i == grid.size - 1:
@@ -178,7 +177,7 @@ def best_matching_a(k, d, a_max=5.0, grid_points=100, tol=1e-8):
     x2 = lo + invphi * (hi - lo)
     f1 = approximation_loss(k, x1, d)
     f2 = approximation_loss(k, x2, d)
-    while hi - lo > tol:
+    while hi - lo > MATCH_TOL:
         if f1 < f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)

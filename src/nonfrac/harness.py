@@ -36,7 +36,6 @@ __all__ = [
     "ExperimentResult",
     "run_experiment",
     "replication_seed",
-    "resolve_workers",
 ]
 
 EXPERIMENTS = (
@@ -173,29 +172,18 @@ def replication_seed(master_seed, cell_index, rep_index):
     return np.random.SeedSequence((master_seed, cell_index, rep_index))
 
 
-def resolve_workers(workers=None):
-    """Worker processes to use: `workers`, else NONFRAC_WORKERS, else the
-    CPU count; at least one. A non-integer NONFRAC_WORKERS raises ValueError."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("NONFRAC_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"NONFRAC_WORKERS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
-
-
 def run_experiment(cfg, workers=None):
     """Run one configured experiment and return its full result.
 
-    Deterministic given the config; rows are emitted only once every cell
-    finished, never partially.
+    Monte Carlo cells are replicated on `workers` processes, by default the
+    CPU count; one or fewer runs them serially. Deterministic given the
+    config; rows are emitted only once every cell finished, never partially.
     """
     t0 = time.perf_counter()
     runner = _RUNNERS[cfg.experiment]
-    rows = runner(cfg, resolve_workers(workers))
+    if workers is None:
+        workers = os.cpu_count() or 1
+    rows = runner(cfg, workers)
     metadata = {
         "config": cfg.describe(),
         "wall_seconds": round(time.perf_counter() - t0, 3),

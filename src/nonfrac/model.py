@@ -9,6 +9,7 @@ integers, and log-Beta differences where they shift by half-integers, so
 they stay stable for lags up to 1e6.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,8 @@ class CsaParams:
     """Beta-distribution parameters (a, b) of a cross-sectionally
     aggregated process, plus the innovation standard deviation.
 
-    b > 1 is required for the autocorrelation function to exist; the
-    implied memory parameter is d = 1 - b/2.
+    All three must be finite. b > 1 is required for the autocorrelation
+    function to exist; the implied memory parameter is d = 1 - b/2.
     """
 
     a: float
@@ -54,6 +55,9 @@ class CsaParams:
     sigma_eps: float = 1.0
 
     def __post_init__(self):
+        for name in ("a", "b", "sigma_eps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.a <= 0:
             raise ValueError(f"a must be positive, got {self.a}")
         if self.b <= 1:
@@ -127,12 +131,12 @@ def csa_variance(p):
     return p.sigma_eps**2 * (p.a + p.b - 1.0) / (p.b - 1.0)
 
 
-def _algebraic_series_sum(terms, exponent, what, rel_tol):
+def _algebraic_series_sum(terms, exponent, what):
     """sum_{j >= 0} t_j of a series whose terms decay like j^{-exponent}.
 
     `terms(n)` returns t_0..t_n. The truncation point n doubles from 4096
-    until the partial sum plus the analytic tail estimate is stable to
-    `rel_tol`. Both CSA series summed here converge exactly when b > 2.
+    until the partial sum plus the analytic tail estimate is stable to a
+    relative 1e-8. Both CSA series summed here converge exactly when b > 2.
     """
     if exponent <= 1:
         raise ConvergenceError(f"{what} diverges (b <= 2: memory is nonnegative)")
@@ -141,14 +145,14 @@ def _algebraic_series_sum(terms, exponent, what, rel_tol):
     while n <= 2**24:
         t = terms(n)
         total = float(t.sum()) + algebraic_tail_estimate(t, exponent, n)
-        if prev is not None and abs(total - prev) <= rel_tol * abs(total):
+        if prev is not None and abs(total - prev) <= 1e-8 * abs(total):
             return total
         prev = total
         n *= 2
-    raise ConvergenceError(f"{what} not stable to {rel_tol} after {n // 2} terms")
+    raise ConvergenceError(f"{what} not stable to 1e-08 after {n // 2} terms")
 
 
-def csa_spectrum_at_zero(p, rel_tol=1e-8):
+def csa_spectrum_at_zero(p):
     """Spectral density at the origin of the paper's MA filter for
     CSA(a, b), b > 2: (sigma^2 / 2 pi) * (sum_j phi_j)^2.
 
@@ -156,13 +160,13 @@ def csa_spectrum_at_zero(p, rel_tol=1e-8):
     not the Wold weights of CSA(a, b), they overshoot its autocovariances,
     and this exceeds `csa_aggregate_spectrum_at_zero` (2.2-3.5 times at
     (a, b) = (0.2, 2.4), (0.2, 2.8), (0.5, 3.0), (1.0, 2.5)). The weight
-    sum converges only for b > 2 (the weights decay like j^{-b/2}).
+    sum converges only for b > 2 (the weights decay like j^{-b/2}); it is
+    summed to a relative 1e-8.
     """
     total = _algebraic_series_sum(
         lambda n: np.sqrt(beta_ratio_sequence(p.a, p.b, n)),
         p.b / 2.0,
         f"weight sum for b = {p.b}",
-        rel_tol,
     )
     return p.sigma_eps**2 / (2.0 * np.pi) * total**2
 
@@ -180,6 +184,5 @@ def csa_aggregate_spectrum_at_zero(p):
         lambda n: acf_csa_lags(p, n),
         p.b - 1.0,
         f"autocorrelation sum for b = {p.b}",
-        1e-8,
     )
     return csa_variance(p) / (2.0 * np.pi) * (2.0 * total - 1.0)

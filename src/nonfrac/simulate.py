@@ -123,22 +123,18 @@ def _median_time(fn, runs):
     return float(np.median(times))
 
 
-def benchmark_generation(p, sizes, n_units_rule=None, runs=5, seed=0):
-    """Median wall-clock of the fast vs naive generator at each sample size.
-
-    The cross-sectional dimension defaults to N = T, matching the advice
-    that it should grow with the sample size.
+def benchmark_generation(p, sizes, runs=5):
+    """Median wall-clock of `runs` calls of the fast vs the naive generator
+    at each sample size, with seed 0 and N = T units, matching the advice
+    that the cross-sectional dimension should grow with the sample size.
     """
     if not sizes:
         raise ValueError("sizes must be nonempty")
-    if n_units_rule is None:
-        n_units_rule = lambda T: T
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     rows = []
     for T in sizes:
-        n = int(n_units_rule(T))
-        t_fast = _median_time(lambda: generate_csa_fast(p, T, seed), runs)
-        t_naive = _median_time(
-            lambda: generate_csa_naive(p, T, n, seed=seed), runs
-        )
-        rows.append(TimingRow(T=T, n_units=n, fast_seconds=t_fast, naive_seconds=t_naive))
+        t_fast = _median_time(lambda: generate_csa_fast(p, T, 0), runs)
+        t_naive = _median_time(lambda: generate_csa_naive(p, T, T, seed=0), runs)
+        rows.append(TimingRow(T=T, n_units=T, fast_seconds=t_fast, naive_seconds=t_naive))
     return rows

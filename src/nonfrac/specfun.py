@@ -1,25 +1,23 @@
 """Special-function kernel: Beta-function ratios, algebraic series tails and
-generalized hypergeometric series.
+hypergeometric series at unit argument.
 
 Everything here is pure and thread-safe. The Beta ratios are computed by
 telescoping products rather than Gamma calls so they stay finite for very
 large shifts; Gamma, Beta and Hurwitz zeta values come from scipy.special.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.special import zeta
 
 __all__ = [
     "ConvergenceError",
-    "PfqSpec",
     "beta_ratio_sequence",
     "hypergeometric_pfq",
     "algebraic_tail_estimate",
 ]
 
 MAX_PFQ_TERMS = 10**7
+PFQ_REL_TOL = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -51,7 +49,8 @@ def algebraic_tail_estimate(terms, exponent, n_last):
     Fits t_n = n^{-exponent} (c0 + c1/n + c2/n^2 + c3/n^3) at four dyadic
     nodes up to n_last and sums the fitted tail exactly with scipy's Hurwitz
     zeta.
-    Requires exponent > 1 and n_last >= 8.
+    Requires exponent > 1 and n_last >= 8. Returns 0.0 when the fit's
+    design underflows.
     """
     if exponent <= 1:
         raise ConvergenceError(
@@ -62,106 +61,44 @@ def algebraic_tail_estimate(terms, exponent, n_last):
     nodes = np.array([n_last, n_last // 2, n_last // 4, n_last // 8], dtype=float)
     tvals = np.array([terms[int(n)] for n in nodes])
     design = nodes[:, None] ** (-exponent - np.arange(4)[None, :])
-    coeffs = np.linalg.solve(design, tvals)
+    try:
+        coeffs = np.linalg.solve(design, tvals)
+    except np.linalg.LinAlgError:
+        # n_last^-(exponent+3) underflowed to 0, which for n_last < 2^24
+        # needs an exponent above 40: terms falling by 2^-exponent per
+        # doubling of n leave a tail far below the partial sum's last bit
+        return 0.0
     return float(np.dot(coeffs, zeta(exponent + np.arange(4), n_last + 1.0)))
 
 
-@dataclass(frozen=True)
-class PfqSpec:
-    """Parameters of a generalized hypergeometric series pFq.
+def hypergeometric_pfq(num, den):
+    """Evaluate (q+1)Fq(num; den; 1) = sum_n prod(num)_n / prod(den)_n / n!.
 
-    Denominator parameters must avoid the poles (zero or negative integers);
-    at unit argument with p = q + 1 the series only converges when the
-    parameter excess sum(den) - sum(num) is positive.
+    At unit argument the terms decay only algebraically, ~ n^{-(1+excess)}
+    with excess = sum(den) - sum(num); direct summation is completed with an
+    analytic tail estimate and iterated until the total is stable to a
+    relative PFQ_REL_TOL. Raises ValueError for a denominator pole (zero or a
+    negative integer) or p != q + 1, and ConvergenceError when the series
+    diverges (excess <= 0) or the term budget is exhausted.
     """
-
-    numerator_params: tuple = field(default=())
-    denominator_params: tuple = field(default=())
-    argument: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "numerator_params", tuple(float(v) for v in self.numerator_params))
-        object.__setattr__(self, "denominator_params", tuple(float(v) for v in self.denominator_params))
-        for c in self.denominator_params:
-            if c <= 0 and c == int(c):
-                raise ValueError(
-                    f"denominator parameter {c} is a pole of the series"
-                )
-
-
-def _pfq_ratio(num, den, n, z):
-    """Term ratio t_{n+1}/t_n of the hypergeometric series."""
-    r = z / (n + 1.0)
-    for c in num:
-        r *= c + n
+    num = tuple(float(c) for c in num)
+    den = tuple(float(c) for c in den)
     for c in den:
-        r /= c + n
-    return r
-
-
-def _pfq_finite(num, den, z, n_terms):
-    """Exact finite summation (polynomial case, or brute force)."""
-    total = 1.0
-    term = 1.0
-    for n in range(n_terms):
-        term *= _pfq_ratio(num, den, n, z)
-        total += term
-    return total
-
-
-def hypergeometric_pfq(spec, rel_tol=1e-12):
-    """Evaluate pFq(num; den; z) = sum_n prod(num)_n / prod(den)_n * z^n / n!.
-
-    A numerator parameter at a nonpositive integer -m truncates the series
-    exactly at n = m. At unit argument with p = q + 1 the terms decay only
-    algebraically, ~ n^{-(1+excess)}; direct summation is then completed with
-    an analytic tail estimate and iterated until the total is stable to
-    `rel_tol`. Raises ConvergenceError when the series diverges or the term
-    budget is exhausted.
-    """
-    num = spec.numerator_params
-    den = spec.denominator_params
-    z = spec.argument
-
-    neg_int = [int(-c) for c in num if c <= 0 and c == int(c)]
-    if neg_int:
-        return _pfq_finite(num, den, z, min(neg_int))
-    if z == 0.0:
-        return 1.0
-
-    p, q = len(num), len(den)
-    if p > q + 1:
-        raise ConvergenceError(
-            f"{p}F{q} diverges for nonzero argument without polynomial truncation"
+        if c <= 0 and c == int(c):
+            raise ValueError(f"denominator parameter {c} is a pole of the series")
+    if len(num) != len(den) + 1:
+        raise ValueError(
+            f"only (q+1)Fq is summed at unit argument, got {len(num)}F{len(den)}"
         )
-    if p == q + 1 and abs(z) >= 1.0:
-        if z != 1.0:
-            raise ConvergenceError(
-                f"{p}F{q} outside the unit disk is not supported (z={z})"
-            )
-        excess = sum(den) - sum(num)
-        if excess <= 0:
-            raise ConvergenceError(
-                f"parameter excess {excess:.6g} <= 0: series diverges at z=1"
-            )
-        return _pfq_unit_balanced(num, den, excess, rel_tol)
-
-    # |z| < 1 or p <= q: term ratio eventually < 1, geometric tail bound.
-    total = 1.0
-    term = 1.0
-    for n in range(MAX_PFQ_TERMS):
-        ratio = _pfq_ratio(num, den, n, z)
-        term *= ratio
-        total += term
-        r = abs(_pfq_ratio(num, den, n + 1, z))
-        if r < 1.0:
-            tail = abs(term) * r / (1.0 - r)
-            if abs(term) <= rel_tol * abs(total) and tail <= rel_tol * abs(total):
-                return total
-    raise ConvergenceError(f"no convergence after {MAX_PFQ_TERMS} terms")
+    excess = sum(den) - sum(num)
+    if excess <= 0:
+        raise ConvergenceError(
+            f"parameter excess {excess:.6g} <= 0: series diverges at z=1"
+        )
+    return _pfq_unit_balanced(num, den, excess)
 
 
-def _pfq_unit_balanced(num, den, excess, rel_tol):
+def _pfq_unit_balanced(num, den, excess):
     """(q+1)Fq at z = 1: block summation plus algebraic tail acceleration."""
     s_exp = 1.0 + excess
     n_block = 4096
@@ -184,7 +121,7 @@ def _pfq_unit_balanced(num, den, excess, rel_tol):
 
         n_last = terms.size - 1
         total = float(terms.sum()) + algebraic_tail_estimate(terms, s_exp, n_last)
-        if prev is not None and abs(total - prev) <= rel_tol * abs(total):
+        if prev is not None and abs(total - prev) <= PFQ_REL_TOL * abs(total):
             return total
         prev = total
     raise ConvergenceError(

@@ -147,6 +147,12 @@ class TestAcfSpectrumGph:
         assert value == csa_aggregate_spectrum_at_zero(CsaParams(1.0, 2.8))
         assert value < csa_spectrum_at_zero(CsaParams(1.0, 2.8))
 
+    def test_spectrum_fast_decay(self, runner):
+        # b = 100: the tail fit's design underflows and the partial sum is the value
+        res = runner.invoke(main, ["spectrum", "--a", "0.2", "--b", "100"])
+        assert res.exit_code == 0, res.output
+        assert float(res.output.strip()) == csa_aggregate_spectrum_at_zero(CsaParams(0.2, 100.0))
+
     def test_gph_on_simulated_series(self, runner, tmp_path):
         series = tmp_path / "x.csv"
         assert runner.invoke(
@@ -204,6 +210,15 @@ class TestBenchmark:
     def test_bad_sizes(self, runner):
         res = runner.invoke(main, ["benchmark", "--sizes", "ten"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_no_runs(self, runner, runs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = runner.invoke(main, ["benchmark", "--sizes", "16", "--runs", runs])
+        assert res.exit_code == 2
+        assert "--runs must be >= 1" in res.output
+        assert "nan" not in res.output
 
 
 class TestTableAndExperiment:
@@ -315,18 +330,26 @@ class TestBadInput:
         assert message in res.output
         assert "Traceback" not in res.output
 
-    @pytest.mark.parametrize("command", ["table", "experiment"])
-    def test_bad_workers_env(self, runner, tmp_path, monkeypatch, command):
-        monkeypatch.setenv("NONFRAC_WORKERS", "abc")
+    @pytest.mark.parametrize("command", ["simulate", "fit", "experiment"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_csa_parameter(self, runner, tmp_path, command, value):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"experiment": "table2"}))
+        cfg.write_text(json.dumps({
+            "experiment": "fig_acf_shortmem",
+            "parameter_grid": [{"process": "csa", "a": float(value), "b": 1.6}],
+        }))
+        out = tmp_path / "s.csv"
         args = {
-            "table": ["table", "--table", "2", "--out", str(tmp_path / "t.csv")],
-            "experiment": ["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")],
+            "simulate": ["simulate", "--process", "csa", "--a", value, "--b", "1.5",
+                         "-T", "8", "--out", str(out)],
+            "fit": ["fit", "--a", "0.5", "--b", value],
+            "experiment": ["experiment", "--config", str(cfg), "--out", str(tmp_path / "s")],
         }[command]
         res = runner.invoke(main, args)
         assert res.exit_code == 2
-        assert "NONFRAC_WORKERS must be an integer, got 'abc'" in res.output
+        assert "must be finite" in res.output
+        assert "zeta" not in res.output and "Traceback" not in res.output
+        assert not out.exists()
 
 
 def test_no_numpy_repr_in_any_output(runner, tmp_path):

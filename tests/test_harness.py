@@ -8,7 +8,6 @@ from nonfrac.harness import (
     ExperimentConfig,
     ExperimentResult,
     replication_seed,
-    resolve_workers,
     run_experiment,
 )
 from nonfrac.model import CsaParams, FracParams
@@ -98,24 +97,6 @@ class TestSeeding:
             for r in range(3)
         }
         assert len(draws) == 9
-
-
-class TestResolveWorkers:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("NONFRAC_WORKERS", "7")
-        assert resolve_workers(2) == 2
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("NONFRAC_WORKERS", "3")
-        assert resolve_workers() == 3
-
-    def test_floor_of_one(self):
-        assert resolve_workers(0) == 1
-
-    def test_env_not_integer(self, monkeypatch):
-        monkeypatch.setenv("NONFRAC_WORKERS", "abc")
-        with pytest.raises(ValueError, match="NONFRAC_WORKERS"):
-            resolve_workers()
 
 
 class TestRunExperiment:

@@ -34,6 +34,14 @@ class TestParams:
         with pytest.raises(ValueError):
             CsaParams(a=1.0, b=1.5, sigma_eps=0.0)
 
+    @pytest.mark.parametrize("field", ["a", "b", "sigma_eps"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_csa_non_finite(self, field, value):
+        # nan <= 0 is False, and b = inf would make the weights white noise
+        fields = {"a": 0.5, "b": 1.5, "sigma_eps": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CsaParams(**fields)
+
     def test_implied_memory(self):
         assert CsaParams(a=0.2, b=1.6).memory_d == pytest.approx(0.2)
         assert CsaParams(a=0.2, b=2.8).memory_d == pytest.approx(-0.4)
@@ -169,8 +177,6 @@ class TestSpectrumAtZero:
         p = CsaParams(0.09, 2.4)
         val = csa_spectrum_at_zero(p)
         assert val > 0
-        # tighter tolerance must agree at the default's precision
-        assert csa_spectrum_at_zero(p, rel_tol=1e-10) == pytest.approx(val, rel=1e-7)
 
     def test_against_direct_summation(self):
         # direct sum to J = 1e7 plus a crude integral tail brackets the value
@@ -190,6 +196,14 @@ class TestSpectrumAtZero:
         for b in (1.5, 2.0):
             with pytest.raises(ConvergenceError):
                 csa_spectrum_at_zero(CsaParams(0.5, b))
+
+    def test_fast_decay_sums_directly(self):
+        # weights ~ j^-100: the tail fit's design underflows, and the
+        # 4097-term partial sum is already exact to double precision
+        p = CsaParams(0.2, 200.0)
+        direct = float(csa_ma_coeffs(p, 4097).sum())
+        val = csa_spectrum_at_zero(p)
+        assert val == pytest.approx(direct**2 / (2.0 * math.pi), rel=1e-12)
 
 
 class TestAggregateSpectrumAtZero:
@@ -219,3 +233,12 @@ class TestAggregateSpectrumAtZero:
         for b in (1.5, 2.0):
             with pytest.raises(ConvergenceError):
                 csa_aggregate_spectrum_at_zero(CsaParams(0.5, b))
+
+    def test_fast_decay_sums_directly(self):
+        # autocorrelations ~ k^-99: the tail fit's design underflows, and the
+        # partial sum to lag 4096 is already exact to double precision
+        p = CsaParams(0.2, 100.0)
+        direct = csa_variance(p) / (2.0 * math.pi) * (2.0 * float(acf_csa_lags(p, 4096).sum()) - 1.0)
+        val = csa_aggregate_spectrum_at_zero(p)
+        assert math.isfinite(val)
+        assert val == pytest.approx(direct, rel=1e-12)

@@ -197,3 +197,9 @@ class TestBenchmark:
     def test_empty_sizes(self):
         with pytest.raises(ValueError):
             benchmark_generation(CSA, [])
+
+    @pytest.mark.parametrize("runs", [0, -1])
+    def test_no_runs(self, runs):
+        # a median of no timings is nan
+        with pytest.raises(ValueError, match="runs must be >= 1"):
+            benchmark_generation(CSA, [16], runs=runs)
