@@ -110,7 +110,10 @@ def simulate(process, a, b, d, sigma, length, seed, method, units, burnin, out):
     else:
         params = _csa_params(a, b, sigma)
         if method == "fast":
-            sample = generate_csa_fast(params, length, seed)
+            try:
+                sample = generate_csa_fast(params, length, seed)
+            except ValueError as exc:
+                raise click.UsageError(str(exc))
         else:
             n_units = units if units is not None else length
             if n_units < 1:
@@ -288,6 +291,8 @@ def _run(cfg, workers):
         return run_experiment(cfg, workers=workers)
     except ConvergenceError as exc:
         raise click.ClickException(str(exc))
+    except ValueError as exc:  # a grid entry whose path overflows
+        raise click.UsageError(str(exc))
 
 
 @main.command()

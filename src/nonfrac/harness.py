@@ -175,19 +175,27 @@ def replication_seed(master_seed, cell_index, rep_index):
 def run_experiment(cfg, workers=None):
     """Run one configured experiment and return its full result.
 
-    Monte Carlo cells are replicated on `workers` processes, by default the
-    CPU count; one or fewer runs them serially. Deterministic given the
-    config; rows are emitted only once every cell finished, never partially.
+    The replications of every Monte Carlo cell share one pool of at most
+    `workers` processes, by default the CPU count; one or fewer runs them
+    serially. Deterministic given the config; rows are emitted only once
+    every cell finished, never partially. `metadata["workers"]` is the
+    number of processes the run used.
     """
     t0 = time.perf_counter()
-    runner = _RUNNERS[cfg.experiment]
     if workers is None:
         workers = os.cpu_count() or 1
-    rows = runner(cfg, workers)
+    if cfg.experiment in _MONTE_CARLO:
+        grid_of, statistic, rows_of = _MONTE_CARLO[cfg.experiment]
+        grid = grid_of(cfg)
+        per_cell, processes = _replicate_cells(cfg, grid, statistic, workers)
+        rows = rows_of(cfg, grid, per_cell)
+    else:
+        rows, processes = _ANALYTIC[cfg.experiment](cfg), 1
     metadata = {
         "config": cfg.describe(),
         "wall_seconds": round(time.perf_counter() - t0, 3),
         "version": __version__,
+        "workers": processes,
     }
     return ExperimentResult(rows=tuple(rows), metadata=metadata)
 
@@ -219,23 +227,34 @@ def _replicate(task):
     return statistic(generate(params, sample_size, seed).values)
 
 
-def _replicate_cell(cfg, cell_index, params, statistic, workers):
-    """The statistic of every replication of one cell, in replication order."""
+def _replicate_cells(cfg, grid, statistic, workers):
+    """The statistic of every replication of every cell, as one list per
+    cell in replication order, and the number of processes that ran them.
+
+    With more than one worker, all (cell, replication) tasks go through one
+    pool of min(workers, tasks, CPUs) processes: the fork start method
+    launches every worker up front, so an unused one is pure start-up cost.
+    """
     tasks = [
         (statistic, cfg.master_seed, cell_index, r, params, cfg.sample_size)
+        for cell_index, params in enumerate(grid)
         for r in range(cfg.replications)
     ]
-    if workers <= 1 or len(tasks) < 2:
-        return [_replicate(t) for t in tasks]
-    chunk = max(1, len(tasks) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_replicate, tasks, chunksize=chunk))
+    processes = max(1, min(workers, len(tasks), os.cpu_count() or 1))
+    if processes == 1:
+        results = [_replicate(t) for t in tasks]
+    else:
+        chunk = max(1, len(tasks) // (processes * 8))
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            results = list(pool.map(_replicate, tasks, chunksize=chunk))
+    reps = cfg.replications
+    return [results[i : i + reps] for i in range(0, len(results), reps)], processes
 
 
-def _run_table1(cfg, workers):
+def _table1_rows(cfg, grid, per_cell):
     rows = []
-    for cell_index, params in enumerate(_table1_grid(cfg)):
-        d_hats = np.array(_replicate_cell(cfg, cell_index, params, _d_hat, workers))
+    for cell_index, (params, d_hats) in enumerate(zip(grid, per_cell)):
+        d_hats = np.array(d_hats)
         stats = {
             "mean_d_hat": float(d_hats.mean()),
             "sd_d_hat": float(d_hats.std(ddof=1)) if d_hats.size > 1 else 0.0,
@@ -258,7 +277,7 @@ def _csa_grid(cfg):
     )
 
 
-def _run_table2(cfg, workers):
+def _run_table2(cfg):
     rows = []
     for cell_index, p in enumerate(_csa_grid(cfg)):
         for order in (1, 20):
@@ -275,7 +294,7 @@ def _run_table2(cfg, workers):
     return rows
 
 
-def _run_table3(cfg, workers):
+def _run_table3(cfg):
     rows = []
     for cell_index, p in enumerate(_csa_grid(cfg)):
         pure, arfima = zeta_fractional(p)
@@ -294,7 +313,7 @@ def _run_table3(cfg, workers):
 # figure data
 
 
-def _run_fig_acf_shortmem(cfg, workers):
+def _run_fig_acf_shortmem(cfg):
     grid = cfg.parameter_grid or tuple(
         CsaParams(a=a, b=1.6) for a in (0.1, 0.5, 1.0, 2.0)
     )
@@ -324,7 +343,7 @@ def _sample_acf(x, max_lag):
     )
 
 
-def _run_fig_filter_match(cfg, workers):
+def _run_fig_filter_match(cfg):
     # one shared innovation stream filtered by both mechanisms
     frac = FracParams(d=0.2)
     csa = CsaParams(a=0.12, b=1.6)
@@ -344,7 +363,7 @@ def _run_fig_filter_match(cfg, workers):
     return rows
 
 
-def _run_fig_antipersistence_acf(cfg, workers):
+def _run_fig_antipersistence_acf(cfg):
     grid = cfg.parameter_grid or (FracParams(d=-0.2), CsaParams(a=0.09, b=2.4))
     lags = 110
     rows = []
@@ -362,15 +381,17 @@ def _run_fig_antipersistence_acf(cfg, workers):
     return rows
 
 
-def _run_fig_mean_periodogram(cfg, workers):
-    grid = cfg.parameter_grid or tuple(
+def _mean_periodogram_grid(cfg):
+    return cfg.parameter_grid or tuple(
         p
         for d in (0.4, -0.4)
         for p in (FracParams(d=d), CsaParams(a=0.2, b=2.0 * (1.0 - d)))
     )
+
+
+def _mean_periodogram_rows(cfg, grid, per_cell):
     rows = []
-    for cell_index, params in enumerate(grid):
-        ordinates = _replicate_cell(cfg, cell_index, params, _ordinates, workers)
+    for cell_index, (params, ordinates) in enumerate(zip(grid, per_cell)):
         mean_pgram = np.mean(np.stack(ordinates), axis=0)
         m = (cfg.sample_size - 1) // 2
         freqs = 2.0 * np.pi * np.arange(1, m + 1) / cfg.sample_size
@@ -388,7 +409,7 @@ def _run_fig_mean_periodogram(cfg, workers):
     return rows
 
 
-def _run_fig_ar1_loss(cfg, workers):
+def _run_fig_ar1_loss(cfg):
     b_values = (1.8, 1.6, 1.4, 1.2)
     a_values = np.round(np.arange(0.05, 3.0001, 0.05), 2)
     rows = []
@@ -408,13 +429,18 @@ def _run_fig_ar1_loss(cfg, workers):
     return rows
 
 
-_RUNNERS = {
-    "table1": _run_table1,
+# Monte Carlo experiments: (grid, statistic of one path, rows from the
+# per-cell statistics); the replications of all cells run together.
+_MONTE_CARLO = {
+    "table1": (_table1_grid, _d_hat, _table1_rows),
+    "fig_mean_periodogram": (_mean_periodogram_grid, _ordinates, _mean_periodogram_rows),
+}
+
+_ANALYTIC = {
     "table2": _run_table2,
     "table3": _run_table3,
     "fig_acf_shortmem": _run_fig_acf_shortmem,
     "fig_filter_match": _run_fig_filter_match,
     "fig_antipersistence_acf": _run_fig_antipersistence_acf,
-    "fig_mean_periodogram": _run_fig_mean_periodogram,
     "fig_ar1_loss": _run_fig_ar1_loss,
 }

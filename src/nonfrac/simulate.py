@@ -42,13 +42,18 @@ class SeriesSample:
 def _generate_fast(p, T, seed, innovations, sigma, ma_coeffs, generator):
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    if innovations is None:
-        nu = sigma * np.random.default_rng(seed).standard_normal(T)
-    else:
-        nu = np.asarray(innovations, dtype=float)
-        if nu.size != T:
-            raise ValueError(f"need {T} innovations, got {nu.size}")
-    values = circular_convolve(nu, ma_coeffs(p, T))
+    # A huge but finite sigma overflows the draw or the FFT; report that as
+    # one error instead of numpy warnings and a path of nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if innovations is None:
+            nu = sigma * np.random.default_rng(seed).standard_normal(T)
+        else:
+            nu = np.asarray(innovations, dtype=float)
+            if nu.size != T:
+                raise ValueError(f"need {T} innovations, got {nu.size}")
+        values = circular_convolve(nu, ma_coeffs(p, T))
+    if not np.isfinite(values).all():
+        raise ValueError("simulated path overflows float64; use a smaller sigma")
     return SeriesSample(values=values, generator=generator, params=p, seed=seed)
 
 

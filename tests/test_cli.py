@@ -352,6 +352,29 @@ class TestBadInput:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["simulate", "experiment"])
+    def test_overflowing_sigma(self, runner, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "experiment": "table1", "sample_size": 64, "replications": 2,
+            "parameter_grid": [{"process": "csa", "a": 0.2, "b": 1.6, "sigma_eps": 1e308}],
+        }))
+        out = tmp_path / "s.csv"
+        args = {
+            "simulate": ["simulate", "--process", "csa", "--a", "0.2", "--b", "1.6",
+                         "-T", "8", "--sigma", "1e308", "--out", str(out)],
+            "experiment": ["experiment", "--config", str(cfg), "--out", str(tmp_path / "s"),
+                           "--workers", "1"],
+        }[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert "overflows" in res.output
+        assert "Warning" not in res.output and "Traceback" not in res.output
+        assert not out.exists()
+
+
 def test_no_numpy_repr_in_any_output(runner, tmp_path):
     series = tmp_path / "x.csv"
     cfg = tmp_path / "cfg.json"

@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from nonfrac import harness
 from nonfrac.harness import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -133,6 +135,22 @@ class TestRunExperiment:
         ]
         assert strip(serial) == strip(parallel)
 
+    def test_mean_periodogram_serial_parallel_identical(self):
+        cfg = ExperimentConfig(
+            experiment="fig_mean_periodogram", sample_size=128, replications=3, master_seed=11
+        )
+        assert run_experiment(cfg, workers=1).rows == run_experiment(cfg, workers=2).rows
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_metadata_workers(self, workers):
+        cfg = ExperimentConfig(experiment="table1", sample_size=64, replications=2, master_seed=3)
+        used = run_experiment(cfg, workers=workers).metadata["workers"]
+        assert type(used) is int and used == min(workers, os.cpu_count())
+
+    def test_analytic_metadata_workers_is_one(self):
+        res = run_experiment(ExperimentConfig(experiment="fig_ar1_loss"), workers=2)
+        assert res.metadata["workers"] == 1
+
     def test_table1_rerun_bitwise_identical(self):
         cfg = ExperimentConfig(
             experiment="table1",
@@ -160,6 +178,55 @@ class TestRunExperiment:
         assert len(res.rows) > 0
         for row in res.rows:
             assert np.isfinite(row["value"])
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records each pool's size and maps
+    in this process, so no worker is ever started."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+class TestPool:
+    @pytest.fixture()
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(
+            harness, "ProcessPoolExecutor", lambda max_workers: _InProcessPool(sizes, max_workers)
+        )
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+        return sizes
+
+    def table1(self, replications, workers):
+        cfg = ExperimentConfig(
+            experiment="table1", sample_size=32, replications=replications, master_seed=2
+        )
+        return run_experiment(cfg, workers=workers)
+
+    def test_one_pool_per_experiment(self, pool_sizes):
+        res = self.table1(replications=2, workers=2)
+        assert pool_sizes == [2] and res.metadata["workers"] == 2
+        assert len({row["cell"] for row in res.rows}) == 8
+
+    def test_serial_builds_no_pool(self, pool_sizes):
+        assert self.table1(replications=2, workers=1).metadata["workers"] == 1
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("replications, expected", [(3, 24), (10, 64)])
+    def test_pool_size_bounded(self, pool_sizes, replications, expected):
+        # 8 cells: the task count bounds the pool at 3 reps, the CPU count at 10
+        res = self.table1(replications=replications, workers=10**9)
+        assert pool_sizes == [expected] and res.metadata["workers"] == expected
 
 
 class TestResultWriters:

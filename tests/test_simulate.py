@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,14 @@ class TestValidation:
     def test_innovation_length_checked(self):
         with pytest.raises(ValueError):
             generate_csa_fast(CSA, 8, seed=0, innovations=np.zeros(4))
+
+    @pytest.mark.parametrize("sigma", [1e308, 1e305])
+    def test_overflowing_path_rejected(self, sigma):
+        # 1e308 overflows the draw; 1e305 only the FFT of the filtered path
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                generate_csa_fast(CsaParams(0.2, 1.6, sigma_eps=sigma), 4096, seed=0)
 
 
 class TestBenchmark:
