@@ -109,18 +109,19 @@ def simulate(process, a, b, d, sigma, length, seed, method, units, burnin, out):
         sample = generate_frac_fast(params, length, seed)
     else:
         params = _csa_params(a, b, sigma)
-        if method == "fast":
-            try:
-                sample = generate_csa_fast(params, length, seed)
-            except ValueError as exc:
-                raise click.UsageError(str(exc))
-        else:
+        if method == "naive":
             n_units = units if units is not None else length
             if n_units < 1:
                 raise click.UsageError(f"--units must be >= 1, got {n_units}")
             if burnin is not None and burnin < 0:
                 raise click.UsageError(f"--burnin must be >= 0, got {burnin}")
-            sample = generate_csa_naive(params, length, n_units, burn_in=burnin, seed=seed)
+        try:
+            if method == "fast":
+                sample = generate_csa_fast(params, length, seed)
+            else:
+                sample = generate_csa_naive(params, length, n_units, burn_in=burnin, seed=seed)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
     meta = {
         "generator": sample.generator,
         "seed": seed,

@@ -7,15 +7,18 @@ inverse of phi(z). g comes from Newton iteration on power series
 series"), which doubles the number of correct coefficients with each
 pair of FFT convolutions; forecasts are one more convolution of the
 innovations with the weights extended to the horizon. Every step is
-O(T log T) time and O(T) memory.
+O(T log T) time and O(T) memory. g depends only on (a, b, T), so the
+last few inverses are cached and repeated forecasts at one fitted (a, b)
+skip the Newton iteration.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solve_triangular, toeplitz
 
-from .model import csa_ma_coeffs
+from .model import CsaParams, csa_ma_coeffs
 from .spectral import circular_convolve
 
 __all__ = ["ForecastResult", "recover_innovations", "forecast_csa"]
@@ -23,6 +26,10 @@ __all__ = ["ForecastResult", "recover_innovations", "forecast_csa"]
 # Coefficients of 1/phi solved densely before the Newton doublings start;
 # below this a doubling's fixed cost exceeds the O(k^2) triangular solve.
 _DENSE_TERMS = 128
+
+# Inverse weight sequences kept by `_inverse_weights`: at most this many
+# arrays of 8T bytes each.
+_INVERSE_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -56,6 +63,17 @@ def _inverse_series(phi):
     return g
 
 
+@lru_cache(maxsize=_INVERSE_CACHE_SIZE)
+def _inverse_weights(a, b, n):
+    """First n coefficients of 1 / phi(z) for CSA(a, b), read-only.
+
+    The weights do not depend on sigma_eps, so it is not part of the key.
+    """
+    g = _inverse_series(csa_ma_coeffs(CsaParams(a, b), n))
+    g.flags.writeable = False
+    return g
+
+
 def recover_innovations(x, p):
     """Solve nu_i = x_i - sum_{j=1}^{i} phi_j nu_{i-j} for i = 0..T-1.
 
@@ -66,8 +84,9 @@ def recover_innovations(x, p):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("x must be a nonempty 1-d sequence")
-    phi = csa_ma_coeffs(p, x.size)
-    return circular_convolve(_inverse_series(phi), x)
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
+    return circular_convolve(_inverse_weights(p.a, p.b, x.size), x)
 
 
 def forecast_csa(x, p, h):

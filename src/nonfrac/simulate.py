@@ -97,11 +97,15 @@ def generate_csa_naive(p, T, n_units, burn_in=None, seed=0, alphas=None):
             raise ValueError(f"need {n_units} alphas, got {alphas.size}")
     state = np.zeros(n_units)
     out = np.empty(T)
-    for t in range(burn_in + T):
-        state = alphas * state + p.sigma_eps * rng.standard_normal(n_units)
-        if t >= burn_in:
-            out[t - burn_in] = state.sum()
-    out /= np.sqrt(n_units)
+    # as in `_generate_fast`: one error for a path that overflows float64
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(burn_in + T):
+            state = alphas * state + p.sigma_eps * rng.standard_normal(n_units)
+            if t >= burn_in:
+                out[t - burn_in] = state.sum()
+        out /= np.sqrt(n_units)
+    if not np.isfinite(out).all():
+        raise ValueError("simulated path overflows float64; use a smaller sigma")
     return SeriesSample(
         values=out, generator="csa_naive", params=p, seed=seed, n_units=n_units
     )

@@ -352,7 +352,7 @@ class TestBadInput:
         assert not out.exists()
 
 
-    @pytest.mark.parametrize("command", ["simulate", "experiment"])
+    @pytest.mark.parametrize("command", ["simulate", "simulate-naive", "experiment"])
     def test_overflowing_sigma(self, runner, tmp_path, command):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -363,6 +363,9 @@ class TestBadInput:
         args = {
             "simulate": ["simulate", "--process", "csa", "--a", "0.2", "--b", "1.6",
                          "-T", "8", "--sigma", "1e308", "--out", str(out)],
+            "simulate-naive": ["simulate", "--process", "csa", "--a", "0.2", "--b", "1.6",
+                               "-T", "8", "--sigma", "1e308", "--method", "naive",
+                               "--units", "4", "--burnin", "3", "--out", str(out)],
             "experiment": ["experiment", "--config", str(cfg), "--out", str(tmp_path / "s"),
                            "--workers", "1"],
         }[command]

@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular, toeplitz
 
 import nonfrac
+from nonfrac import forecast
 from nonfrac.forecast import forecast_csa, recover_innovations
 from nonfrac.model import CsaParams, csa_ma_coeffs
 from nonfrac.simulate import generate_csa_fast
@@ -61,6 +63,17 @@ class TestRecoverInnovations:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             recover_innovations(np.array([]), CSA)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        x = generate_csa_fast(CSA, 64, seed=3).values
+        x[10] = bad
+        forecast._inverse_weights.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="x must be finite"):
+                forecast_csa(x, CSA, 5)
+        assert forecast._inverse_weights.cache_info().currsize == 0
 
 
 class TestForecastCsa:
@@ -129,6 +142,64 @@ class TestForecastCsa:
         assert res.horizon == 3
         assert res.point_forecasts.shape == (3,)
         assert res.innovations.shape == (50,)
+
+
+def _forecast_bytes(x, p, h):
+    res = forecast_csa(x, p, h)
+    return res.point_forecasts.tobytes(), res.innovations.tobytes(), res.reconstruction_error
+
+
+class TestInverseWeightCache:
+    @pytest.mark.parametrize(
+        "a, b, T",
+        [(a, b, T) for a, b in ORACLE_PARAMS for T in [1, 128, 129, 1000]] + [(10.0, 1.02, 10_000)],
+    )
+    def test_warm_call_is_bit_identical_to_cold(self, a, b, T):
+        p = CsaParams(a, b)
+        x = generate_csa_fast(p, T, seed=T).values
+        h = min(T, 20)
+        forecast._inverse_weights.cache_clear()
+        cold = _forecast_bytes(x, p, h)
+        assert forecast._inverse_weights.cache_info().misses == 1
+        warm = _forecast_bytes(x, p, h)
+        assert forecast._inverse_weights.cache_info().hits == 1
+        assert warm == cold
+        # the cached weights are those of a fresh inversion
+        fresh = forecast._inverse_series(csa_ma_coeffs(p, T))
+        assert forecast._inverse_weights(a, b, T).tobytes() == fresh.tobytes()
+
+    def test_parameters_do_not_share_an_entry(self):
+        forecast._inverse_weights.cache_clear()
+        x = generate_csa_fast(CSA, 300, seed=1).values
+        forecast_csa(x, CsaParams(0.3, 1.5), 5)
+        forecast_csa(x, CsaParams(0.3, 1.6), 5)
+        forecast_csa(x, CsaParams(0.4, 1.5), 5)
+        info = forecast._inverse_weights.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 3)
+
+    def test_sigma_shares_an_entry(self):
+        forecast._inverse_weights.cache_clear()
+        x = generate_csa_fast(CSA, 300, seed=1).values
+        one = forecast_csa(x, CsaParams(0.3, 1.5, sigma_eps=1.0), 5)
+        two = forecast_csa(x, CsaParams(0.3, 1.5, sigma_eps=2.5), 5)
+        info = forecast._inverse_weights.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert one.point_forecasts.tobytes() == two.point_forecasts.tobytes()
+
+    def test_cached_weights_are_read_only(self):
+        g = forecast._inverse_weights(0.3, 1.5, 64)
+        assert not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0] = 2.0
+
+    def test_size_is_bounded(self):
+        forecast._inverse_weights.cache_clear()
+        maxsize = forecast._inverse_weights.cache_info().maxsize
+        x = generate_csa_fast(CSA, 200, seed=4).values
+        for k in range(maxsize + 3):
+            forecast_csa(x, CsaParams(0.3 + 0.1 * k, 1.5), 3)
+            assert forecast._inverse_weights.cache_info().currsize <= maxsize
+        assert forecast._inverse_weights.cache_info().currsize == maxsize
 
 
 def test_import_leaves_scipy_signal_out():

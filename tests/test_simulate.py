@@ -197,6 +197,12 @@ class TestValidation:
             with pytest.raises(ValueError, match="overflows"):
                 generate_csa_fast(CsaParams(0.2, 1.6, sigma_eps=sigma), 4096, seed=0)
 
+    def test_overflowing_naive_path_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                generate_csa_naive(CsaParams(0.2, 1.6, sigma_eps=1e308), 8, 4, burn_in=3, seed=0)
+
 
 class TestBenchmark:
     def test_smoke(self):
