@@ -21,19 +21,8 @@ from .fitloss import (
     zeta_fractional,
 )
 from .forecast import forecast_csa
-from .harness import (
-    ExperimentConfig,
-    params_to_dict,
-    run_experiment,
-    write_rows,
-)
-from .model import (
-    CsaParams,
-    FracParams,
-    acf_csa_lags,
-    acf_frac_lags,
-    csa_aggregate_spectrum_at_zero,
-)
+from .harness import ExperimentConfig, run_experiment, write_rows
+from .model import csa_aggregate_spectrum_at_zero, params_from_dict, params_to_dict
 from .simulate import benchmark_generation, generate_csa_fast, generate_csa_naive, generate_frac_fast
 from .specfun import ConvergenceError
 
@@ -62,20 +51,21 @@ def _read_column(path):
     return np.asarray(values)
 
 
-def _csa_params(a, b, sigma):
-    if a is None or b is None:
-        raise click.UsageError("--a and --b are required for a CSA process")
-    try:
-        return CsaParams(a=a, b=b, sigma_eps=sigma)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+_MISSING = {
+    "csa": "--a and --b are required for a CSA process",
+    "frac": "--d is required for a fractional process",
+}
 
 
-def _frac_params(d):
-    if d is None:
-        raise click.UsageError("--d is required for a fractional process")
+def _params(process, **options):
+    """The `process` params built from the options that were given (not
+    None). Every given option goes to the dict constructor, so one that the
+    process does not take is a usage error that names it."""
+    given = {name: value for name, value in options.items() if value is not None}
     try:
-        return FracParams(d=d)
+        return params_from_dict({"process": process, **given})
+    except TypeError:  # a required field was not given
+        raise click.UsageError(_MISSING[process])
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
@@ -91,7 +81,7 @@ def main():
 @click.option("--a", type=float, default=None, help="first Beta parameter (CSA)")
 @click.option("--b", type=float, default=None, help="second Beta parameter (CSA)")
 @click.option("--d", type=float, default=None, help="memory parameter (frac)")
-@click.option("--sigma", type=float, default=1.0, help="innovation std deviation")
+@click.option("--sigma", type=float, default=None, help="innovation std deviation (CSA; default 1)")
 @click.option("--length", "-T", "length", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--method", type=click.Choice(["fast", "naive"]), default="fast", show_default=True)
@@ -102,26 +92,28 @@ def simulate(process, a, b, d, sigma, length, seed, method, units, burnin, out):
     """Generate one sample path and write it as a one-column CSV."""
     if length < 1:
         raise click.UsageError(f"--length must be >= 1, got {length}")
-    if process == "frac":
-        if method == "naive":
-            raise click.UsageError("--method naive applies only to --process csa")
-        params = _frac_params(d)
-        sample = generate_frac_fast(params, length, seed)
+    params = _params(process, a=a, b=b, d=d, sigma_eps=sigma)
+    if method == "fast":
+        for name, value in (("--units", units), ("--burnin", burnin)):
+            if value is not None:
+                raise click.UsageError(f"{name} applies only to --method naive")
+    elif process == "frac":
+        raise click.UsageError("--method naive applies only to --process csa")
     else:
-        params = _csa_params(a, b, sigma)
+        n_units = units if units is not None else length
+        if n_units < 1:
+            raise click.UsageError(f"--units must be >= 1, got {n_units}")
+        if burnin is not None and burnin < 0:
+            raise click.UsageError(f"--burnin must be >= 0, got {burnin}")
+    try:
         if method == "naive":
-            n_units = units if units is not None else length
-            if n_units < 1:
-                raise click.UsageError(f"--units must be >= 1, got {n_units}")
-            if burnin is not None and burnin < 0:
-                raise click.UsageError(f"--burnin must be >= 0, got {burnin}")
-        try:
-            if method == "fast":
-                sample = generate_csa_fast(params, length, seed)
-            else:
-                sample = generate_csa_naive(params, length, n_units, burn_in=burnin, seed=seed)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+            sample = generate_csa_naive(params, length, n_units, burn_in=burnin, seed=seed)
+        elif process == "csa":
+            sample = generate_csa_fast(params, length, seed)
+        else:
+            sample = generate_frac_fast(params, length, seed)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     meta = {
         "generator": sample.generator,
         "seed": seed,
@@ -137,12 +129,12 @@ def simulate(process, a, b, d, sigma, length, seed, method, units, burnin, out):
 @click.option("--in", "infile", type=click.Path(exists=True), required=True)
 @click.option("--a", type=float, required=True)
 @click.option("--b", type=float, required=True)
-@click.option("--sigma", type=float, default=1.0)
+@click.option("--sigma", type=float, default=None, help="innovation std deviation (default 1)")
 @click.option("--horizon", "-h", type=int, required=True)
 @click.option("--out", type=click.Path(), required=True)
 def forecast(infile, a, b, sigma, horizon, out):
     """Minimum-MSE forecasts of a CSA series read from a one-column CSV."""
-    params = _csa_params(a, b, sigma)
+    params = _params("csa", a=a, b=b, sigma_eps=sigma)
     x = _read_column(infile)
     if horizon < 1:
         raise click.UsageError(f"--horizon must be >= 1, got {horizon}")
@@ -172,12 +164,8 @@ def acf(process, a, b, d, max_lag, out):
     """Theoretical autocorrelation function up to --max-lag."""
     if max_lag < 0:
         raise click.UsageError(f"--max-lag must be >= 0, got {max_lag}")
-    if process == "csa":
-        params = _csa_params(a, b, 1.0)
-        values = acf_csa_lags(params, max_lag)
-    else:
-        params = _frac_params(d)
-        values = acf_frac_lags(params, max_lag)
+    params = _params(process, a=a, b=b, d=d)
+    values = params.acf(max_lag)
     meta = {**params_to_dict(params), "max_lag": max_lag}
     write_rows(out, meta, [{"acf": v} for v in values])
 
@@ -185,10 +173,10 @@ def acf(process, a, b, d, max_lag, out):
 @main.command()
 @click.option("--a", type=float, required=True)
 @click.option("--b", type=float, required=True)
-@click.option("--sigma", type=float, default=1.0)
+@click.option("--sigma", type=float, default=None, help="innovation std deviation (default 1)")
 def spectrum(a, b, sigma):
     """Spectral density at the origin of the CSA(a, b) aggregate (requires b > 2)."""
-    params = _csa_params(a, b, sigma)
+    params = _params("csa", a=a, b=b, sigma_eps=sigma)
     try:
         value = csa_aggregate_spectrum_at_zero(params)
     except ConvergenceError as exc:
@@ -219,7 +207,7 @@ def gph(infile, bandwidth):
 def fit(a, b, model, order):
     """Population fit of a misspecified model to CSA(a, b), with its
     relative one-step forecast error variance."""
-    params = _csa_params(a, b, 1.0)
+    params = _params("csa", a=a, b=b)
     if model == "ar":
         if order < 1:
             raise click.UsageError(f"--order must be >= 1, got {order}")
@@ -267,7 +255,7 @@ def match(k, d):
 @click.option("--out", type=click.Path(), default=None)
 def benchmark(a, b, sizes, runs, out):
     """Wall-clock comparison of fast vs naive CSA generation (N = T)."""
-    params = _csa_params(a, b, 1.0)
+    params = _params("csa", a=a, b=b)
     try:
         size_list = [int(s) for s in sizes.split(",") if s]
     except ValueError:

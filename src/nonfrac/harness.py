@@ -19,14 +19,7 @@ import numpy as np
 from . import __version__
 from .estimate import gph_estimate, periodogram
 from .fitloss import fit_ar_population, zeta_ar, zeta_fractional
-from .model import (
-    CsaParams,
-    FracParams,
-    acf_csa_lags,
-    acf_frac_lags,
-    csa_ma_coeffs,
-    frac_ma_coeffs,
-)
+from .model import CsaParams, FracParams, params_from_dict, params_to_dict
 from .simulate import generate_csa_fast, generate_frac_fast
 from .spectral import circular_convolve
 
@@ -98,8 +91,10 @@ class ExperimentConfig:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
-        grid = tuple(_params_from_dict(entry) for entry in raw.pop("parameter_grid", []))
-        return cls(parameter_grid=grid, **raw)
+        grid = raw.pop("parameter_grid", [])
+        if not isinstance(grid, list):
+            raise ValueError(f"parameter_grid must be a list, got {grid!r}")
+        return cls(parameter_grid=tuple(params_from_dict(entry) for entry in grid), **raw)
 
     def describe(self):
         out = {
@@ -110,22 +105,6 @@ class ExperimentConfig:
             "parameter_grid": [params_to_dict(p) for p in self.parameter_grid],
         }
         return out
-
-
-def _params_from_dict(entry):
-    entry = dict(entry)
-    process = entry.pop("process", None)
-    if process == "csa":
-        return CsaParams(**entry)
-    if process == "frac":
-        return FracParams(**entry)
-    raise ValueError(f"unknown process {process!r}")
-
-
-def params_to_dict(p):
-    if isinstance(p, CsaParams):
-        return {"process": "csa", "a": p.a, "b": p.b, "sigma_eps": p.sigma_eps}
-    return {"process": "frac", "d": p.d}
 
 
 @dataclass(frozen=True)
@@ -261,9 +240,8 @@ def _table1_rows(cfg, grid, per_cell):
             "count": d_hats.size,
         }
         base = params_to_dict(params)
-        nominal = params.memory_d if isinstance(params, CsaParams) else params.d
         for stat, value in stats.items():
-            rows.append({"cell": cell_index, **base, "nominal_d": nominal, "statistic": stat, "value": value})
+            rows.append({"cell": cell_index, **base, "nominal_d": params.memory_d, "statistic": stat, "value": value})
     return rows
 
 
@@ -320,8 +298,7 @@ def _run_fig_acf_shortmem(cfg):
     lags = 50
     rows = []
     for cell_index, p in enumerate(grid):
-        acf = acf_csa_lags(p, lags)
-        for lag, value in enumerate(acf):
+        for lag, value in enumerate(p.acf(lags)):
             rows.append(
                 {
                     "cell": cell_index,
@@ -351,8 +328,8 @@ def _run_fig_filter_match(cfg):
     rng = np.random.default_rng(replication_seed(cfg.master_seed, 0, 0))
     eps = rng.standard_normal(T)
     series = {
-        "frac": circular_convolve(eps, frac_ma_coeffs(frac, T)),
-        "csa": circular_convolve(eps, csa_ma_coeffs(csa, T)),
+        "frac": circular_convolve(eps, frac.ma_weights(T)),
+        "csa": circular_convolve(eps, csa.ma_weights(T)),
     }
     rows = []
     for name, values in series.items():
@@ -368,13 +345,8 @@ def _run_fig_antipersistence_acf(cfg):
     lags = 110
     rows = []
     for cell_index, p in enumerate(grid):
-        if isinstance(p, CsaParams):
-            acf = acf_csa_lags(p, lags)
-            base = {"process": "csa", "a": p.a, "b": p.b}
-        else:
-            acf = acf_frac_lags(p, lags)
-            base = {"process": "frac", "d": p.d}
-        for lag, value in enumerate(acf):
+        base = params_to_dict(p)
+        for lag, value in enumerate(p.acf(lags)):
             rows.append(
                 {"cell": cell_index, **base, "lag": lag, "statistic": "acf", "value": float(value)}
             )

@@ -10,7 +10,8 @@ they stay stable for lags up to 1e6.
 """
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.special import betaln
@@ -27,18 +28,35 @@ __all__ = [
     "csa_variance",
     "csa_spectrum_at_zero",
     "csa_aggregate_spectrum_at_zero",
+    "params_to_dict",
+    "params_from_dict",
 ]
 
 
 @dataclass(frozen=True)
 class FracParams:
-    """Memory parameter of a fractionally differenced process."""
+    """Memory parameter of a fractionally differenced process with unit
+    innovation variance; the same surface as `CsaParams`."""
+
+    process = "frac"
+    sigma_eps = 1.0
 
     d: float
 
     def __post_init__(self):
+        _check_fields(self)
         if not -0.5 < self.d < 0.5:
             raise ValueError(f"d must lie in (-1/2, 1/2), got {self.d}")
+
+    @property
+    def memory_d(self):
+        return self.d
+
+    def ma_weights(self, T):
+        return frac_ma_coeffs(self, T)
+
+    def acf(self, kmax):
+        return acf_frac_lags(self, kmax)
 
 
 @dataclass(frozen=True)
@@ -46,18 +64,19 @@ class CsaParams:
     """Beta-distribution parameters (a, b) of a cross-sectionally
     aggregated process, plus the innovation standard deviation.
 
-    All three must be finite. b > 1 is required for the autocorrelation
-    function to exist; the implied memory parameter is d = 1 - b/2.
+    All three must be finite real numbers. b > 1 is required for the
+    autocorrelation function to exist; the implied memory parameter is
+    d = 1 - b/2.
     """
+
+    process = "csa"
 
     a: float
     b: float
     sigma_eps: float = 1.0
 
     def __post_init__(self):
-        for name in ("a", "b", "sigma_eps"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _check_fields(self)
         if self.a <= 0:
             raise ValueError(f"a must be positive, got {self.a}")
         if self.b <= 1:
@@ -68,6 +87,51 @@ class CsaParams:
     @property
     def memory_d(self):
         return 1.0 - self.b / 2.0
+
+    def ma_weights(self, T):
+        return csa_ma_coeffs(self, T)
+
+    def acf(self, kmax):
+        return acf_csa_lags(self, kmax)
+
+
+def _check_fields(p):
+    """Each field of `p` is a finite real number. A bool counts as an int in
+    Python, and an int can be too large for a float; both are rejected."""
+    for f in fields(p):
+        value = getattr(p, f.name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{f.name} must be a real number, got {value!r}")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            raise ValueError(f"{f.name} must be finite, got an integer too large for a float") from None
+        if not finite:
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
+def params_to_dict(p):
+    """The flat dict form of a params object, `process` first and then its
+    fields in order: the config-file grid entry and the CSV columns."""
+    return {"process": p.process, **asdict(p)}
+
+
+def params_from_dict(entry):
+    """Inverse of `params_to_dict`. An entry that is not a dict, an unknown
+    process and a key that is not a field of the process are ValueErrors;
+    a missing field is the constructor's TypeError."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"parameter entry {entry!r} is not an object")
+    entry = dict(entry)
+    process = entry.pop("process", None)
+    for cls in (CsaParams, FracParams):
+        if cls.process == process:
+            names = [f.name for f in fields(cls)]
+            stray = [str(key) for key in entry if key not in names]
+            if stray:
+                raise ValueError(f"the {process} process takes no {', '.join(stray)} (only {', '.join(names)})")
+            return cls(**entry)
+    raise ValueError(f"unknown process {process!r}")
 
 
 def frac_ma_coeffs(p, T):

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import csa_ma_coeffs, frac_ma_coeffs
 from .spectral import circular_convolve
 
 __all__ = [
@@ -39,35 +38,35 @@ class SeriesSample:
     n_units: int | None = None
 
 
-def _generate_fast(p, T, seed, innovations, sigma, ma_coeffs, generator):
+def _generate_fast(p, T, seed, innovations):
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     # A huge but finite sigma overflows the draw or the FFT; report that as
     # one error instead of numpy warnings and a path of nan.
     with np.errstate(over="ignore", invalid="ignore"):
         if innovations is None:
-            nu = sigma * np.random.default_rng(seed).standard_normal(T)
+            nu = p.sigma_eps * np.random.default_rng(seed).standard_normal(T)
         else:
             nu = np.asarray(innovations, dtype=float)
             if nu.size != T:
                 raise ValueError(f"need {T} innovations, got {nu.size}")
-        values = circular_convolve(nu, ma_coeffs(p, T))
+        values = circular_convolve(nu, p.ma_weights(T))
     if not np.isfinite(values).all():
         raise ValueError("simulated path overflows float64; use a smaller sigma")
-    return SeriesSample(values=values, generator=generator, params=p, seed=seed)
+    return SeriesSample(values=values, generator=f"{p.process}_fast", params=p, seed=seed)
 
 
 def generate_csa_fast(p, T, seed, innovations=None):
     """Fast CSA(a, b) path: convolve seeded N(0, sigma^2) innovations with
     the MA weights. `innovations` overrides the random draw (test hook:
     an impulse returns the weight sequence itself)."""
-    return _generate_fast(p, T, seed, innovations, p.sigma_eps, csa_ma_coeffs, "csa_fast")
+    return _generate_fast(p, T, seed, innovations)
 
 
 def generate_frac_fast(p, T, seed, innovations=None):
     """Fast I(d) path: same convolution device with the fractional
     weights, unit innovation variance."""
-    return _generate_fast(p, T, seed, innovations, 1.0, frac_ma_coeffs, "frac_fast")
+    return _generate_fast(p, T, seed, innovations)
 
 
 def generate_csa_naive(p, T, n_units, burn_in=None, seed=0, alphas=None):

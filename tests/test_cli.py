@@ -352,6 +352,60 @@ class TestBadInput:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["simulate", "--process", "frac", "--d", "0.3", "--sigma", "5", "-T", "4"], "sigma_eps"),
+            (["simulate", "--process", "frac", "--d", "0.3", "--a", "3", "-T", "4"], "takes no a"),
+            (["simulate", "--process", "csa", "--a", "0.2", "--b", "1.6", "--d", "0.2", "-T", "4"], "takes no d"),
+            (["simulate", "--process", "csa", "--a", "0.2", "--b", "1.6", "--units", "3", "-T", "4"], "--units"),
+            (["simulate", "--process", "csa", "--a", "0.2", "--b", "1.6", "--burnin", "3", "-T", "4"], "--burnin"),
+            (["acf", "--process", "frac", "--d", "0.3", "--a", "3"], "takes no a"),
+            (["acf", "--process", "csa", "--a", "0.2", "--b", "1.6", "--d", "0.3"], "takes no d"),
+        ],
+    )
+    def test_option_of_another_process_or_method(self, runner, tmp_path, args, named):
+        out = tmp_path / "s.csv"
+        res = runner.invoke(main, [*args, "--out", str(out)])
+        assert res.exit_code == 2
+        error = [line for line in res.output.splitlines() if line.startswith("Error:")]
+        assert len(error) == 1 and named in error[0]
+        assert "Traceback" not in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([{"process": "csa", "a": True, "b": 1.6}], "a must be a real number, got True"),
+            ([{"process": "frac", "d": False}], "d must be a real number, got False"),
+            ([{"process": "csa", "a": 10**400, "b": 1.6}], "a must be finite"),
+            (["ab"], "parameter entry 'ab' is not an object"),
+            ({"process": "frac", "d": 0.1}, "parameter_grid must be a list"),
+            ([{"process": "frac", "d": 0.1, "sigma_eps": 2.0}], "the frac process takes no sigma_eps"),
+        ],
+    )
+    def test_bad_parameter_grid(self, runner, tmp_path, grid, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "fig_antipersistence_acf", "parameter_grid": grid}))
+        res = runner.invoke(main, ["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert res.exit_code == 2
+        error = [line for line in res.output.splitlines() if line.startswith("Error:")]
+        assert len(error) == 1 and message in error[0]
+        assert "Traceback" not in res.output
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_int_parameter_written_as_given(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "experiment": "fig_antipersistence_acf",
+            "parameter_grid": [{"process": "csa", "a": 1, "b": 3}],
+        }))
+        res = runner.invoke(main, ["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert res.exit_code == 0, res.output
+        lines = (tmp_path / "r.csv").read_text().splitlines()
+        assert lines[1] == "cell,process,a,b,sigma_eps,lag,statistic,value"
+        assert lines[2] == "0,csa,1,3,1.0,0,acf,1.0"
+
     @pytest.mark.parametrize("command", ["simulate", "simulate-naive", "experiment"])
     def test_overflowing_sigma(self, runner, tmp_path, command):
         cfg = tmp_path / "cfg.json"

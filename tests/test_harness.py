@@ -1,8 +1,10 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nonfrac import harness
 from nonfrac.harness import (
@@ -12,7 +14,7 @@ from nonfrac.harness import (
     replication_seed,
     run_experiment,
 )
-from nonfrac.model import CsaParams, FracParams
+from nonfrac.model import CsaParams, FracParams, params_from_dict
 
 
 class TestExperimentConfig:
@@ -80,9 +82,92 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="process"):
             ExperimentConfig.from_file(path)
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (["ab"], "parameter entry 'ab' is not an object"),
+            ([{"process": "frac", "d": 0.1}, 3], "parameter entry 3 is not an object"),
+            ({"process": "frac", "d": 0.1}, "parameter_grid must be a list"),
+            ("ab", "parameter_grid must be a list, got 'ab'"),
+            (None, "parameter_grid must be a list, got None"),
+        ],
+    )
+    def test_from_file_malformed_grid(self, tmp_path, grid, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "table1", "parameter_grid": grid}))
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_file(path)
+
+    @pytest.mark.parametrize(
+        "entry, field",
+        [
+            ({"process": "csa", "a": True, "b": 1.6}, "a"),
+            ({"process": "frac", "d": False}, "d"),
+            ({"process": "csa", "a": 10**400, "b": 1.6}, "a"),
+            ({"process": "csa", "a": 0.2, "b": 1.6, "sigma_eps": True}, "sigma_eps"),
+        ],
+    )
+    def test_from_file_bad_parameter_value(self, tmp_path, entry, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "table1", "parameter_grid": [entry]}))
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ExperimentConfig.from_file(path)
+
     def test_describe_is_json_serializable(self):
         cfg = ExperimentConfig(experiment="table2")
         json.dumps(cfg.describe())
+
+    def test_describe_mixed_grid(self):
+        # the key order is the CSV column order of every row built from it
+        cfg = ExperimentConfig(
+            experiment="table1",
+            sample_size=64,
+            replications=3,
+            master_seed=9,
+            parameter_grid=(CsaParams(0.2, 1.6), FracParams(-0.1), CsaParams(1, 3, 2.5)),
+        )
+        assert json.dumps(cfg.describe()) == (
+            '{"experiment": "table1", "sample_size": 64, "replications": 3, "master_seed": 9, '
+            '"parameter_grid": [{"process": "csa", "a": 0.2, "b": 1.6, "sigma_eps": 1.0}, '
+            '{"process": "frac", "d": -0.1}, {"process": "csa", "a": 1, "b": 3, "sigma_eps": 2.5}]}'
+        )
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_NUMBER = _JSON | st.integers(min_value=10**300, max_value=10**400)
+_ENTRY = _JSON | st.fixed_dictionaries(
+    {"process": st.sampled_from(["csa", "frac", "arma"])},
+    optional={name: _NUMBER for name in ("a", "b", "d", "sigma_eps")},
+)
+_CONFIG = _JSON | st.fixed_dictionaries(
+    {"experiment": st.sampled_from(EXPERIMENTS) | _JSON},
+    optional={
+        **{name: _NUMBER for name in ("sample_size", "replications", "master_seed")},
+        "parameter_grid": st.lists(_ENTRY, max_size=3) | _JSON,
+        "extra": _JSON,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example({"experiment": "table1", "parameter_grid": [{"process": "csa", "a": 10**400, "b": 1.6}]})
+@given(_CONFIG)
+def test_from_file_fuzz(document):
+    """Any JSON document loads as a config or fails with ValueError or
+    TypeError, the two errors `nonfrac experiment` reports as a usage error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(document, fh)
+        try:
+            cfg = ExperimentConfig.from_file(path)
+        except (ValueError, TypeError):
+            return
+    assert isinstance(cfg, ExperimentConfig)
 
 
 class TestSeeding:
@@ -178,6 +263,45 @@ class TestRunExperiment:
         assert len(res.rows) > 0
         for row in res.rows:
             assert np.isfinite(row["value"])
+
+
+class TestAntipersistenceAcf:
+    """The figure behind the antipersistence claim: I(d) with d < 0 is
+    negatively correlated at every lag, CSA at the same memory is not."""
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        res = run_experiment(ExperimentConfig(experiment="fig_antipersistence_acf"), workers=1)
+        cells = {}
+        for row in res.rows:
+            cells.setdefault(row["cell"], []).append(row)
+        return cells
+
+    def test_default_grid(self, cells):
+        assert sorted(cells) == [0, 1]
+        assert list(cells[0][0]) == ["cell", "process", "d", "lag", "statistic", "value"]
+        assert list(cells[1][0]) == ["cell", "process", "a", "b", "sigma_eps", "lag", "statistic", "value"]
+        assert params_from_row(cells[0][0]) == FracParams(-0.2)
+        assert params_from_row(cells[1][0]) == CsaParams(0.09, 2.4)
+
+    def test_frac_negative_at_every_lag(self, cells):
+        values = np.array([row["value"] for row in cells[0]])
+        assert values[0] == 1.0 and (values[1:] < 0).all()
+
+    def test_csa_positive_at_every_lag(self, cells):
+        values = np.array([row["value"] for row in cells[1]])
+        assert (values > 0).all()
+
+    @pytest.mark.parametrize("cell", [0, 1])
+    def test_rows_are_the_closed_form(self, cells, cell):
+        rows = cells[cell]
+        assert [row["lag"] for row in rows] == list(range(111))
+        assert [row["value"] for row in rows] == params_from_row(rows[0]).acf(110).tolist()
+
+
+def params_from_row(row):
+    keep = ("process", "a", "b", "sigma_eps", "d")
+    return params_from_dict({k: v for k, v in row.items() if k in keep})
 
 
 class _InProcessPool:

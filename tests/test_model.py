@@ -15,6 +15,8 @@ from nonfrac.model import (
     csa_spectrum_at_zero,
     csa_variance,
     frac_ma_coeffs,
+    params_from_dict,
+    params_to_dict,
 )
 from nonfrac.specfun import ConvergenceError, beta_ratio_sequence
 
@@ -45,6 +47,66 @@ class TestParams:
     def test_implied_memory(self):
         assert CsaParams(a=0.2, b=1.6).memory_d == pytest.approx(0.2)
         assert CsaParams(a=0.2, b=2.8).memory_d == pytest.approx(-0.4)
+
+    @pytest.mark.parametrize(
+        "cls, fields, field",
+        [(CsaParams, {"a": 0.5, "b": 1.5}, "a"), (CsaParams, {"a": 0.5, "b": 1.5}, "b"),
+         (CsaParams, {"a": 0.5, "b": 1.5}, "sigma_eps"), (FracParams, {"d": 0.2}, "d")],
+    )
+    @pytest.mark.parametrize("value", [True, False, "0.2", None, [1.0], 10**400, -(10**400)])
+    def test_field_not_a_finite_real(self, cls, fields, field, value):
+        # a bool is an int to Python, and 10**400 overflows float(): neither may pass
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            cls(**{**fields, field: value})
+
+    def test_valid_int_kept_as_given(self):
+        p = CsaParams(a=1, b=3)
+        assert type(p.a) is int and params_to_dict(p) == {"process": "csa", "a": 1, "b": 3, "sigma_eps": 1.0}
+        assert type(FracParams(0).d) is int
+
+
+class TestSurface:
+    """CsaParams and FracParams answer the same questions."""
+
+    CSA, FRAC = CsaParams(0.3, 1.7, 2.0), FracParams(-0.2)
+
+    def test_process_memory_sigma(self):
+        assert (self.CSA.process, self.CSA.memory_d, self.CSA.sigma_eps) == ("csa", 1.0 - 1.7 / 2.0, 2.0)
+        assert (self.FRAC.process, self.FRAC.memory_d, self.FRAC.sigma_eps) == ("frac", -0.2, 1.0)
+
+    def test_sigma_is_not_a_frac_field(self):
+        with pytest.raises(TypeError):
+            FracParams(d=0.2, sigma_eps=2.0)
+
+    def test_weights_and_acf_are_the_module_functions(self):
+        assert self.CSA.ma_weights(50).tobytes() == csa_ma_coeffs(self.CSA, 50).tobytes()
+        assert self.FRAC.ma_weights(50).tobytes() == frac_ma_coeffs(self.FRAC, 50).tobytes()
+        assert self.CSA.acf(40).tobytes() == acf_csa_lags(self.CSA, 40).tobytes()
+        assert self.FRAC.acf(40).tobytes() == acf_frac_lags(self.FRAC, 40).tobytes()
+
+    def test_dict_key_order(self):
+        # CSV columns follow this order
+        assert list(params_to_dict(self.CSA)) == ["process", "a", "b", "sigma_eps"]
+        assert list(params_to_dict(self.FRAC)) == ["process", "d"]
+
+    @pytest.mark.parametrize("p", [CSA, FRAC, CsaParams(1, 3)])
+    def test_dict_round_trip(self, p):
+        assert params_from_dict(params_to_dict(p)) == p
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("ab", "parameter entry 'ab' is not an object"),
+            ([["process", "frac"], ["d", 0.1]], "is not an object"),
+            ({"process": "arma"}, "unknown process 'arma'"),
+            ({"d": 0.1}, "unknown process None"),
+            ({"process": "frac", "d": 0.1, "sigma_eps": 2.0}, "the frac process takes no sigma_eps"),
+            ({"process": "csa", "a": 0.2, "b": 1.6, "d": 0.2}, "the csa process takes no d"),
+        ],
+    )
+    def test_from_dict_rejects(self, entry, message):
+        with pytest.raises(ValueError, match=message):
+            params_from_dict(entry)
 
 
 class TestFracMaCoeffs:
