@@ -29,23 +29,28 @@ from .specfun import ConvergenceError
 
 def _read_column(path):
     values = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            token = line.split(",")[0]
-            try:
-                value = float(token)
-            except ValueError:
-                if lineno == 1 or (lineno == 2 and not values):
-                    continue  # header row
-                raise click.UsageError(
-                    f"{path}:{lineno}: cannot parse {token!r} as a number"
-                )
-            if not math.isfinite(value):
-                raise click.UsageError(f"{path}:{lineno}: non-finite value {token!r}")
-            values.append(value)
+    try:
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                token = line.split(",")[0]
+                try:
+                    value = float(token)
+                except ValueError:
+                    if lineno == 1 or (lineno == 2 and not values):
+                        continue  # header row
+                    raise click.UsageError(
+                        f"{path}:{lineno}: cannot parse {token!r} as a number"
+                    )
+                if not math.isfinite(value):
+                    raise click.UsageError(f"{path}:{lineno}: non-finite value {token!r}")
+                values.append(value)
+    except UnicodeDecodeError as exc:
+        raise click.UsageError(f"{path}: not {exc.encoding} text") from None
+    except OSError as exc:
+        raise click.UsageError(f"{path}: cannot read: {exc.strerror or exc}") from None
     if not values:
         raise click.UsageError(f"{path}: no numeric data found")
     return np.asarray(values)

@@ -13,6 +13,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -117,18 +118,54 @@ class ExperimentResult:
 
     def write_json(self, path):
         payload = {"metadata": self.metadata, "rows": list(self.rows)}
-        _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
+
+
+# Rows formatted and written per block, so a large table never holds all of
+# its CSV text at once.
+_CSV_BLOCK_ROWS = 4096
 
 
 def write_rows(path, metadata, rows):
     """Write dict rows as CSV: a `#`-prefixed JSON metadata line, a header
     with every key in first-seen order, then one line per row (a missing key
     is an empty cell). The file appears atomically."""
-    keys = list(dict.fromkeys(k for row in rows for k in row))
-    lines = ["# " + json.dumps(metadata, sort_keys=True), ",".join(keys)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row.get(k)) for k in keys))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    keys = list(dict.fromkeys(chain.from_iterable(rows)))
+
+    def blocks():
+        yield "# " + json.dumps(metadata, sort_keys=True) + "\n" + ",".join(keys) + "\n"
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[start : start + _CSV_BLOCK_ROWS]
+            if keys:
+                columns = [_column_text([row.get(k) for row in block]) for k in keys]
+                lines = map(",".join, zip(*columns))
+            else:
+                lines = [""] * len(block)
+            yield "\n".join(lines) + "\n"
+
+    _atomic_write(path, blocks())
+
+
+# Exact types whose cells print as `_csv_cell` prints them, without its
+# per-cell type checks.
+_COLUMN_FORMAT = {float: float.__repr__, int: int.__repr__, str: str}
+
+
+def _column_text(values):
+    """The CSV cells of one column. A column of one exact type among float,
+    int and str (with None gaps) formats each distinct value once with that
+    type's own method; any other column, for instance one mixing 1, 1.0 and
+    True or holding numpy scalars, goes cell by cell."""
+    kinds = set(map(type, values))
+    kinds.discard(type(None))
+    fmt = _COLUMN_FORMAT.get(kinds.pop()) if len(kinds) == 1 else None
+    if fmt is None:
+        return list(map(_csv_cell, values))
+    distinct = dict.fromkeys(values)
+    if fmt is float.__repr__ and 0.0 in distinct:  # -0.0 == 0.0 but prints apart
+        return ["" if v is None else fmt(v) for v in values]
+    text = {v: "" if v is None else fmt(v) for v in distinct}
+    return list(map(text.__getitem__, values))
 
 
 def _csv_cell(v):
@@ -139,11 +176,18 @@ def _csv_cell(v):
     return str(v)
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, chunks):
+    """Write the text chunks to a temporary file, then rename it to `path`;
+    on any failure the temporary file is removed."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def replication_seed(master_seed, cell_index, rep_index):
@@ -155,10 +199,11 @@ def run_experiment(cfg, workers=None):
     """Run one configured experiment and return its full result.
 
     The replications of every Monte Carlo cell share one pool of at most
-    `workers` processes, by default the CPU count; one or fewer runs them
-    serially. Deterministic given the config; rows are emitted only once
-    every cell finished, never partially. `metadata["workers"]` is the
-    number of processes the run used.
+    `workers` processes, by default the CPU count; one or fewer, or a run
+    too small to pay for the fork (`_pool_size`), runs them serially.
+    Deterministic given the config; rows are emitted only once every cell
+    finished, never partially. `metadata["workers"]` is the number of
+    processes the run used.
     """
     t0 = time.perf_counter()
     if workers is None:
@@ -206,20 +251,36 @@ def _replicate(task):
     return statistic(generate(params, sample_size, seed).values)
 
 
+# Samples (replications x T) of work per worker process. Measured on 2
+# CPUs: a replication costs ~95-120 ns per sample, a 2-process pool adds
+# ~25-40 ms to a run, and two processes overtake one near 5.5e5 samples.
+# The bound sits at that break-even, so two processes start at twice it,
+# 1.05e6 samples, where they ran 10-30% faster; smaller runs stay serial.
+_SAMPLES_PER_PROCESS = 2**19
+
+
+def _pool_size(workers, tasks, sample_size):
+    """Processes for `tasks` replications of `sample_size` samples each:
+    at most `workers`, the task count, the CPU count and one per
+    `_SAMPLES_PER_PROCESS` samples of work, and at least one."""
+    by_work = tasks * sample_size // _SAMPLES_PER_PROCESS
+    return max(1, min(workers, tasks, os.cpu_count() or 1, by_work))
+
+
 def _replicate_cells(cfg, grid, statistic, workers):
     """The statistic of every replication of every cell, as one list per
     cell in replication order, and the number of processes that ran them.
 
-    With more than one worker, all (cell, replication) tasks go through one
-    pool of min(workers, tasks, CPUs) processes: the fork start method
-    launches every worker up front, so an unused one is pure start-up cost.
+    With more than one process (`_pool_size`), all (cell, replication)
+    tasks go through one pool: the fork start method launches every worker
+    up front, so an unused one is pure start-up cost.
     """
     tasks = [
         (statistic, cfg.master_seed, cell_index, r, params, cfg.sample_size)
         for cell_index, params in enumerate(grid)
         for r in range(cfg.replications)
     ]
-    processes = max(1, min(workers, len(tasks), os.cpu_count() or 1))
+    processes = _pool_size(workers, len(tasks), cfg.sample_size)
     if processes == 1:
         results = [_replicate(t) for t in tasks]
     else:
@@ -362,22 +423,16 @@ def _mean_periodogram_grid(cfg):
 
 
 def _mean_periodogram_rows(cfg, grid, per_cell):
+    m = (cfg.sample_size - 1) // 2
+    freqs = (2.0 * np.pi * np.arange(1, m + 1) / cfg.sample_size).tolist()
     rows = []
     for cell_index, (params, ordinates) in enumerate(zip(grid, per_cell)):
-        mean_pgram = np.mean(np.stack(ordinates), axis=0)
-        m = (cfg.sample_size - 1) // 2
-        freqs = 2.0 * np.pi * np.arange(1, m + 1) / cfg.sample_size
+        mean_pgram = np.mean(np.stack(ordinates), axis=0).tolist()
         base = params_to_dict(params)
-        for freq, value in zip(freqs, mean_pgram):
-            rows.append(
-                {
-                    "cell": cell_index,
-                    **base,
-                    "frequency": float(freq),
-                    "statistic": "mean_periodogram",
-                    "value": float(value),
-                }
-            )
+        rows.extend(
+            {"cell": cell_index, **base, "frequency": freq, "statistic": "mean_periodogram", "value": value}
+            for freq, value in zip(freqs, mean_pgram)
+        )
     return rows
 
 

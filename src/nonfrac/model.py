@@ -11,7 +11,7 @@ they stay stable for lags up to 1e6.
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 from scipy.special import betaln
@@ -119,7 +119,7 @@ def params_to_dict(p):
 def params_from_dict(entry):
     """Inverse of `params_to_dict`. An entry that is not a dict, an unknown
     process and a key that is not a field of the process are ValueErrors;
-    a missing field is the constructor's TypeError."""
+    a missing required field is a TypeError naming it."""
     if not isinstance(entry, dict):
         raise ValueError(f"parameter entry {entry!r} is not an object")
     entry = dict(entry)
@@ -130,6 +130,9 @@ def params_from_dict(entry):
             stray = [str(key) for key in entry if key not in names]
             if stray:
                 raise ValueError(f"the {process} process takes no {', '.join(stray)} (only {', '.join(names)})")
+            missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in entry]
+            if missing:
+                raise TypeError(f"the {process} process needs {' and '.join(missing)}")
             return cls(**entry)
     raise ValueError(f"unknown process {process!r}")
 

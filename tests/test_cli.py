@@ -1,9 +1,12 @@
 import json
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 from nonfrac.cli import main
 from nonfrac.model import CsaParams, csa_aggregate_spectrum_at_zero, csa_spectrum_at_zero
@@ -291,6 +294,31 @@ class TestBadInput:
         assert f"x.csv:12: non-finite value '{token}'" in res.output
         assert not (tmp_path / "f.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, target, message",
+        [
+            ("gph", "bad", "bad.csv: not utf-8 text"),
+            ("forecast", "bad", "bad.csv: not utf-8 text"),
+            ("gph", "dir", "cannot read: Is a directory"),
+            ("forecast", "dir", "cannot read: Is a directory"),
+        ],
+    )
+    def test_unreadable_input_file(self, runner, tmp_path, command, target, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe1\n2\n3\n")
+        path = str(bad if target == "bad" else tmp_path)
+        args = {
+            "gph": ["gph", "--in", path],
+            "forecast": ["forecast", "--in", path, "--a", "0.3", "--b", "1.5",
+                         "--horizon", "2", "--out", str(tmp_path / "f.csv")],
+        }[command]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        error = [line for line in res.output.splitlines() if line.startswith("Error:")]
+        assert len(error) == 1 and message in error[0]
+        assert "Traceback" not in res.output
+        assert not (tmp_path / "f.csv").exists()
+
     def test_constant_series_gph(self, runner, tmp_path):
         series = tmp_path / "x.csv"
         series.write_text("value\n" + "1.5\n" * 64)
@@ -382,6 +410,8 @@ class TestBadInput:
             (["ab"], "parameter entry 'ab' is not an object"),
             ({"process": "frac", "d": 0.1}, "parameter_grid must be a list"),
             ([{"process": "frac", "d": 0.1, "sigma_eps": 2.0}], "the frac process takes no sigma_eps"),
+            ([{"process": "frac"}], "the frac process needs d"),
+            ([{"process": "csa", "sigma_eps": 2.0}], "the csa process needs a and b"),
         ],
     )
     def test_bad_parameter_grid(self, runner, tmp_path, grid, message):
@@ -463,3 +493,28 @@ def test_no_numpy_repr_in_any_output(runner, tmp_path):
     assert written == ["acf.csv", "bench.csv", "fc.csv", "run.csv", "run.json", "t3.csv", "x.csv"]
     for name in written:
         assert "np." not in (tmp_path / name).read_text(), name
+
+
+# Mostly numeric lines, with arbitrary bytes mixed in: every outcome of
+# `_read_column` (data, header, parse error, non-finite, undecodable) shows up.
+_LINE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(lambda v: repr(v).encode()),
+    st.integers(-10**30, 10**30).map(lambda v: str(v).encode()),
+    st.binary(max_size=12),
+)
+_FILE = st.binary(max_size=200) | st.lists(_LINE, max_size=40).map(b"\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@example(b"\xff\xfe1\n2\n")
+@example(b"value\n" + b"1e308\n-1e308\n" * 8)
+@given(_FILE)
+def test_read_column_fuzz(data):
+    """Any file content makes `gph --in` exit 0 or 2, never with a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        res = CliRunner().invoke(main, ["gph", "--in", path])
+    assert res.exit_code in (0, 2), (res.output, res.exc_info)
+    assert "Traceback" not in res.output

@@ -186,6 +186,13 @@ class TestSeeding:
         assert len(draws) == 9
 
 
+@pytest.fixture()
+def any_work_forks(monkeypatch):
+    """Lets a run of any size fork its pool, so that a small test run still
+    exercises the pooled path."""
+    monkeypatch.setattr(harness, "_SAMPLES_PER_PROCESS", 1)
+
+
 class TestRunExperiment:
     def test_table2_matches_direct_calls(self):
         cfg = ExperimentConfig(experiment="table2")
@@ -205,7 +212,7 @@ class TestRunExperiment:
         stats = {r["statistic"] for r in res.rows}
         assert stats == {"zeta_id", "zeta_arfima", "alpha_i"}
 
-    def test_table1_small_serial_parallel_identical(self):
+    def test_table1_small_serial_parallel_identical(self, any_work_forks):
         cfg = ExperimentConfig(
             experiment="table1",
             sample_size=256,
@@ -219,15 +226,18 @@ class TestRunExperiment:
             {k: v for k, v in row.items()} for row in res.rows
         ]
         assert strip(serial) == strip(parallel)
+        assert parallel.metadata["workers"] == min(4, os.cpu_count())
 
-    def test_mean_periodogram_serial_parallel_identical(self):
+    def test_mean_periodogram_serial_parallel_identical(self, any_work_forks):
         cfg = ExperimentConfig(
             experiment="fig_mean_periodogram", sample_size=128, replications=3, master_seed=11
         )
-        assert run_experiment(cfg, workers=1).rows == run_experiment(cfg, workers=2).rows
+        parallel = run_experiment(cfg, workers=2)
+        assert run_experiment(cfg, workers=1).rows == parallel.rows
+        assert parallel.metadata["workers"] == min(2, os.cpu_count())
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_metadata_workers(self, workers):
+    def test_metadata_workers(self, workers, any_work_forks):
         cfg = ExperimentConfig(experiment="table1", sample_size=64, replications=2, master_seed=3)
         used = run_experiment(cfg, workers=workers).metadata["workers"]
         assert type(used) is int and used == min(workers, os.cpu_count())
@@ -337,20 +347,56 @@ class TestPool:
         )
         return run_experiment(cfg, workers=workers)
 
-    def test_one_pool_per_experiment(self, pool_sizes):
+    def test_one_pool_per_experiment(self, pool_sizes, any_work_forks):
         res = self.table1(replications=2, workers=2)
         assert pool_sizes == [2] and res.metadata["workers"] == 2
         assert len({row["cell"] for row in res.rows}) == 8
 
-    def test_serial_builds_no_pool(self, pool_sizes):
+    def test_serial_builds_no_pool(self, pool_sizes, any_work_forks):
         assert self.table1(replications=2, workers=1).metadata["workers"] == 1
         assert pool_sizes == []
 
     @pytest.mark.parametrize("replications, expected", [(3, 24), (10, 64)])
-    def test_pool_size_bounded(self, pool_sizes, replications, expected):
+    def test_pool_size_bounded(self, pool_sizes, any_work_forks, replications, expected):
         # 8 cells: the task count bounds the pool at 3 reps, the CPU count at 10
         res = self.table1(replications=replications, workers=10**9)
         assert pool_sizes == [expected] and res.metadata["workers"] == expected
+
+    def test_small_run_builds_no_pool(self, pool_sizes):
+        res = self.table1(replications=10, workers=10**9)
+        assert pool_sizes == [] and res.metadata["workers"] == 1
+
+    def test_work_bounds_the_pool(self, pool_sizes, monkeypatch):
+        # 80 tasks of 32 samples, one process per 320 samples
+        monkeypatch.setattr(harness, "_SAMPLES_PER_PROCESS", 320)
+        res = self.table1(replications=10, workers=10**9)
+        assert pool_sizes == [8] and res.metadata["workers"] == 8
+
+    @pytest.mark.parametrize(
+        "workers, tasks, sample_size, cpus, expected",
+        [
+            (2, 8 * 4, 10_000, 2, 1),  # the table1 benchmark request
+            (2, 4 * 16, 4096, 2, 1),  # the mean-periodogram benchmark request
+            (2, 8 * 1000, 4096, 2, 2),  # desk-scale table1
+            (10**9, 8 * 1000, 4096, 64, 62),  # work-bound
+            (10**9, 10**6, 10**4, 64, 64),  # CPU-bound
+            (10**9, 3, 10**9, 64, 3),  # task-bound
+            (1, 10**6, 10**4, 64, 1),  # worker-bound
+            (0, 10**6, 10**4, 64, 1),
+            (10**9, 10**6, 10**4, None, 1),  # CPU count unknown
+            (64, 2 * harness._SAMPLES_PER_PROCESS - 1, 1, 64, 1),  # just below two processes' work
+            (64, 2 * harness._SAMPLES_PER_PROCESS, 1, 64, 2),
+            (64, 3 * harness._SAMPLES_PER_PROCESS, 1, 64, 3),
+        ],
+    )
+    def test_pool_size(self, monkeypatch, workers, tasks, sample_size, cpus, expected):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        assert harness._pool_size(workers, tasks, sample_size) == expected
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("no text")
 
 
 class TestResultWriters:
@@ -387,3 +433,51 @@ class TestResultWriters:
         result.write_json(tmp_path / "a.json")
         names = {p.name for p in tmp_path.iterdir()}
         assert names == {"a.csv", "a.json"}
+
+    def test_golden_bytes(self, tmp_path, monkeypatch):
+        # 5 rows in blocks of 2; each column tests one formatting rule
+        monkeypatch.setattr(harness, "_CSV_BLOCK_ROWS", 2)
+        rows = [
+            {"f": 0.1, "i": 3, "s": "x", "mix": 1, "zero": 0.0, "np": np.float64(0.25)},
+            {"f": 1e-300, "i": -7, "s": "y z", "mix": 1.0, "zero": -0.0, "np": np.int64(4), "b": True},
+            {"f": None, "i": None, "mix": True, "zero": float("nan"), "np": None, "b": False},
+            {"f": 2.5, "i": 10**20, "s": "", "zero": float("inf"), "b": None},
+            {"f": 0.1, "i": 3, "s": "x", "mix": 1, "zero": -float("inf"), "np": np.float64(-0.0)},
+        ]
+        path = tmp_path / "g.csv"
+        harness.write_rows(path, {"b": 1, "a": [0.5, None]}, rows)
+        assert path.read_bytes() == (
+            b'# {"a": [0.5, null], "b": 1}\n'
+            b"f,i,s,mix,zero,np,b\n"
+            b"0.1,3,x,1,0.0,0.25,\n"
+            b"1e-300,-7,y z,1.0,-0.0,4,True\n"
+            b",,,True,nan,,False\n"
+            b"2.5,100000000000000000000,,,inf,,\n"
+            b"0.1,3,x,1,-inf,-0.0,\n"
+        )
+
+    def test_rows_across_blocks(self, tmp_path):
+        n = 2 * harness._CSV_BLOCK_ROWS + 3
+        rows = [{"k": k, "half": k / 2} for k in range(n)]
+        path = tmp_path / "b.csv"
+        harness.write_rows(path, {}, rows)
+        expected = "# {}\nk,half\n" + "".join(f"{k},{k / 2!r}\n" for k in range(n))
+        assert path.read_text() == expected
+
+    def test_no_rows_and_no_keys(self, tmp_path):
+        harness.write_rows(tmp_path / "a.csv", {}, [])
+        harness.write_rows(tmp_path / "b.csv", {}, [{}, {}])
+        assert (tmp_path / "a.csv").read_text() == "# {}\n\n"
+        assert (tmp_path / "b.csv").read_text() == "# {}\n\n\n\n"
+
+    @pytest.mark.parametrize(
+        "metadata, rows",
+        [({"x": object()}, [{"v": 1.0}]), ({}, [{"v": 1.0}, {"v": _Unprintable()}])],
+    )
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, metadata, rows):
+        path = tmp_path / "a.csv"
+        path.write_text("old\n")
+        with pytest.raises((TypeError, RuntimeError)):
+            harness.write_rows(path, metadata, rows)
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+        assert path.read_text() == "old\n"

@@ -108,6 +108,18 @@ class TestSurface:
         with pytest.raises(ValueError, match=message):
             params_from_dict(entry)
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"process": "frac"}, "^the frac process needs d$"),
+            ({"process": "csa", "b": 1.6}, "^the csa process needs a$"),
+            ({"process": "csa", "sigma_eps": 2.0}, "^the csa process needs a and b$"),
+        ],
+    )
+    def test_from_dict_names_missing_fields(self, entry, message):
+        with pytest.raises(TypeError, match=message):
+            params_from_dict(entry)
+
 
 class TestFracMaCoeffs:
     def test_no_memory(self):
