@@ -6,7 +6,6 @@ usage/validation error, 1 runtime numerical failure. Output files are
 written to a temporary name and atomically renamed.
 """
 
-import json
 import math
 from dataclasses import asdict
 
@@ -24,7 +23,6 @@ from .forecast import forecast_csa
 from .harness import ExperimentConfig, run_experiment, write_rows
 from .model import csa_aggregate_spectrum_at_zero, params_from_dict, params_to_dict
 from .simulate import benchmark_generation, generate_csa_fast, generate_csa_naive, generate_frac_fast
-from .specfun import ConvergenceError
 
 
 def _read_column(path):
@@ -71,14 +69,31 @@ def _params(process, **options):
         return params_from_dict({"process": process, **given})
     except TypeError:  # a required field was not given
         raise click.UsageError(_MISSING[process])
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+
+
+class _Command(click.Command):
+    """A command whose library errors become exit codes: a ValueError is a
+    usage error (exit 2), and a RuntimeError, ConvergenceError included, a
+    numerical failure (exit 1). Click's own Exit and Abort pass through."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.exceptions.Exit, click.Abort):
+            raise
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx) from None
+        except RuntimeError as exc:
+            raise click.ClickException(str(exc)) from None
 
 
 @click.group()
 @click.version_option()
 def main():
     """Long-memory generation, forecasting and analysis tools."""
+
+
+main.command_class = _Command
 
 
 @main.command()
@@ -110,15 +125,12 @@ def simulate(process, a, b, d, sigma, length, seed, method, units, burnin, out):
             raise click.UsageError(f"--units must be >= 1, got {n_units}")
         if burnin is not None and burnin < 0:
             raise click.UsageError(f"--burnin must be >= 0, got {burnin}")
-    try:
-        if method == "naive":
-            sample = generate_csa_naive(params, length, n_units, burn_in=burnin, seed=seed)
-        elif process == "csa":
-            sample = generate_csa_fast(params, length, seed)
-        else:
-            sample = generate_frac_fast(params, length, seed)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    if method == "naive":
+        sample = generate_csa_naive(params, length, n_units, burn_in=burnin, seed=seed)
+    elif process == "csa":
+        sample = generate_csa_fast(params, length, seed)
+    else:
+        sample = generate_frac_fast(params, length, seed)
     meta = {
         "generator": sample.generator,
         "seed": seed,
@@ -145,10 +157,7 @@ def forecast(infile, a, b, sigma, horizon, out):
         raise click.UsageError(f"--horizon must be >= 1, got {horizon}")
     if horizon > x.size:
         raise click.UsageError(f"--horizon {horizon} exceeds sample size {x.size}")
-    try:
-        result = forecast_csa(x, params, horizon)
-    except (ValueError, ConvergenceError) as exc:
-        raise click.ClickException(str(exc))
+    result = forecast_csa(x, params, horizon)
     meta = {
         **params_to_dict(params),
         "horizon": horizon,
@@ -182,11 +191,7 @@ def acf(process, a, b, d, max_lag, out):
 def spectrum(a, b, sigma):
     """Spectral density at the origin of the CSA(a, b) aggregate (requires b > 2)."""
     params = _params("csa", a=a, b=b, sigma_eps=sigma)
-    try:
-        value = csa_aggregate_spectrum_at_zero(params)
-    except ConvergenceError as exc:
-        raise click.ClickException(str(exc))
-    click.echo(repr(value))
+    click.echo(repr(csa_aggregate_spectrum_at_zero(params)))
 
 
 @main.command()
@@ -197,10 +202,7 @@ def gph(infile, bandwidth):
     x = _read_column(infile)
     if bandwidth is not None and bandwidth < 3:
         raise click.UsageError(f"--bandwidth must be >= 3, got {bandwidth}")
-    try:
-        est = gph_estimate(x, bandwidth=bandwidth)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    est = gph_estimate(x, bandwidth=bandwidth)
     click.echo(f"d_hat={est.d_hat!r} std_error={est.std_error!r} bandwidth={est.bandwidth}")
 
 
@@ -226,10 +228,7 @@ def fit(a, b, model, order):
             raise click.UsageError(
                 f"fractional fits require b in (1, 2), got b={b}"
             )
-        try:
-            pure, arfima = zeta_fractional(params)
-        except ConvergenceError as exc:
-            raise click.ClickException(str(exc))
+        pure, arfima = zeta_fractional(params)
         click.echo(f"model=i(d) zeta={pure.zeta!r}")
         click.echo(
             f"model=arfima(1,d,0) zeta={arfima.zeta!r} alpha_i={arfima.fitted_params[0]!r}"
@@ -245,10 +244,7 @@ def match(k, d):
         raise click.UsageError(f"--k must be >= 1, got {k}")
     if not 0.0 < d < 0.5:
         raise click.UsageError(f"--d must lie in (0, 1/2), got {d}")
-    try:
-        a_star, loss = best_matching_a(k, d)
-    except RuntimeError as exc:
-        raise click.ClickException(str(exc))
+    a_star, loss = best_matching_a(k, d)
     click.echo(f"a_star={a_star!r} loss={loss!r} b={2.0 * (1.0 - d)!r}")
 
 
@@ -280,15 +276,6 @@ def benchmark(a, b, sizes, runs, out):
         write_rows(out, {"a": a, "b": b, "runs": runs}, table)
 
 
-def _run(cfg, workers):
-    try:
-        return run_experiment(cfg, workers=workers)
-    except ConvergenceError as exc:
-        raise click.ClickException(str(exc))
-    except ValueError as exc:  # a grid entry whose path overflows
-        raise click.UsageError(str(exc))
-
-
 @main.command()
 @click.option("--table", "which", type=click.Choice(["1", "2", "3"]), required=True)
 @click.option("--scale", type=click.Choice(["desk", "paper"]), default="desk", show_default=True)
@@ -303,11 +290,8 @@ def table(which, scale, seed, out, workers):
             kwargs.update(sample_size=10_000, replications=10_000)
         else:
             kwargs.update(sample_size=4096, replications=1000)
-    try:
-        cfg = ExperimentConfig(experiment=f"table{which}", **kwargs)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    _run(cfg, workers).write_csv(out)
+    cfg = ExperimentConfig(experiment=f"table{which}", **kwargs)
+    run_experiment(cfg, workers=workers).write_csv(out)
 
 
 @main.command()
@@ -318,9 +302,9 @@ def experiment(config_path, out_prefix, workers):
     """Run an experiment described by a JSON config file."""
     try:
         cfg = ExperimentConfig.from_file(config_path)
-    except (ValueError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError) as exc:  # a JSONDecodeError is a ValueError
         raise click.UsageError(f"{config_path}: {exc}")
-    result = _run(cfg, workers)
+    result = run_experiment(cfg, workers=workers)
     result.write_csv(f"{out_prefix}.csv")
     result.write_json(f"{out_prefix}.json")
 

@@ -44,12 +44,16 @@ def gph_estimate(x, bandwidth=None):
     """OLS of log I(lambda_j) on log lambda_j over j = 1..m; the memory
     estimate is -slope/2 and the standard error comes from the classical
     homoskedastic slope variance. Default bandwidth m = floor(sqrt(T)).
-    A constant series has no log-periodogram and raises ValueError."""
+    A series with no log-periodogram over the band, because it is constant
+    or an ordinate there overflows or is zero, raises ValueError."""
     x = np.asarray(x, dtype=float)
     T = x.size
     if bandwidth is None:
         bandwidth = int(np.floor(np.sqrt(T)))
-    pgram = periodogram(x)
+    # a finite series can still overflow the periodogram or zero an ordinate
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pgram = periodogram(x)
+        y = np.log(pgram.ordinates[:bandwidth])
     if x.min() == x.max():
         raise ValueError("constant series: the log-periodogram is undefined")
     if bandwidth > pgram.frequencies.size:
@@ -58,7 +62,8 @@ def gph_estimate(x, bandwidth=None):
         )
     if bandwidth < 3:
         raise ValueError(f"bandwidth {bandwidth} leaves a degenerate regression")
-    y = np.log(pgram.ordinates[:bandwidth])
+    if not np.isfinite(y).all():
+        raise ValueError("the periodogram overflows or is zero in the band: the log-periodogram is undefined")
     reg = np.log(pgram.frequencies[:bandwidth])
     reg_c = reg - reg.mean()
     sxx = float(np.dot(reg_c, reg_c))

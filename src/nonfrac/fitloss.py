@@ -115,8 +115,11 @@ def gamma_z(p, k):
             )
         )
 
-    f1 = f1_branch(float(k)) + f1_branch(float(-k))
-    f2 = f2_branch(float(k)) + f2_branch(float(-k))
+    f1, f2 = f1_branch(float(k)), f2_branch(float(k))
+    if k == 0:  # the s = k and s = -k branches coincide: sum each once
+        f1, f2 = f1 + f1, f2 + f2
+    else:
+        f1, f2 = f1 + f1_branch(float(-k)), f2 + f2_branch(float(-k))
     return float(
         _gamma_star(p, float(k), d)
         * (beta(a, b - 1.0) * (f1 - 1.0) + beta(a + 0.5, b - 1.0) * f2)

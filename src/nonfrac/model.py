@@ -16,7 +16,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 from scipy.special import betaln
 
-from .specfun import ConvergenceError, algebraic_tail_estimate, beta_ratio_sequence
+from .specfun import ConvergenceError, _gamma_half_ratio, _sum_ratio_series, beta_ratio_sequence
 
 __all__ = [
     "FracParams",
@@ -194,29 +194,9 @@ def acf_csa_lags(p, kmax):
 def csa_variance(p):
     """Process variance sigma_eps^2 * B(a, b-1) / B(a, b), the limit of
     sigma_eps^2 * sum phi_j^2."""
-    # B(a, b-1)/B(a, b) simplifies to (a+b-1)/(b-1)
-    return p.sigma_eps**2 * (p.a + p.b - 1.0) / (p.b - 1.0)
-
-
-def _algebraic_series_sum(terms, exponent, what):
-    """sum_{j >= 0} t_j of a series whose terms decay like j^{-exponent}.
-
-    `terms(n)` returns t_0..t_n. The truncation point n doubles from 4096
-    until the partial sum plus the analytic tail estimate is stable to a
-    relative 1e-8. Both CSA series summed here converge exactly when b > 2.
-    """
-    if exponent <= 1:
-        raise ConvergenceError(f"{what} diverges (b <= 2: memory is nonnegative)")
-    n = 4096
-    prev = None
-    while n <= 2**24:
-        t = terms(n)
-        total = float(t.sum()) + algebraic_tail_estimate(t, exponent, n)
-        if prev is not None and abs(total - prev) <= 1e-8 * abs(total):
-            return total
-        prev = total
-        n *= 2
-    raise ConvergenceError(f"{what} not stable to 1e-08 after {n // 2} terms")
+    # B(a, b-1)/B(a, b) simplifies to (a+b-1)/(b-1); sigma * sigma, unlike
+    # sigma**2, overflows to inf instead of raising OverflowError
+    return p.sigma_eps * p.sigma_eps * (p.a + p.b - 1.0) / (p.b - 1.0)
 
 
 def csa_spectrum_at_zero(p):
@@ -230,26 +210,27 @@ def csa_spectrum_at_zero(p):
     sum converges only for b > 2 (the weights decay like j^{-b/2}); it is
     summed to a relative 1e-8.
     """
-    total = _algebraic_series_sum(
-        lambda n: np.sqrt(beta_ratio_sequence(p.a, p.b, n)),
-        p.b / 2.0,
-        f"weight sum for b = {p.b}",
-    )
+    if p.b <= 2.0:
+        raise ConvergenceError(f"weight sum for b = {p.b} diverges (b <= 2: memory is nonnegative)")
+    total = _sum_ratio_series(lambda n: np.sqrt((p.a + n) / (p.a + p.b + n)), p.b / 2.0, 1e-8)
     return p.sigma_eps**2 / (2.0 * np.pi) * total**2
 
 
 def csa_aggregate_spectrum_at_zero(p):
     """Spectral density at the origin of the CSA(a, b) aggregate, b > 2:
-    (gamma_0 / 2 pi) * (1 + 2 sum_{k >= 1} rho_k) with gamma_0 the
-    `csa_variance`, which equals (sigma^2 / 2 pi) E[(1 - alpha)^{-2}] with
-    alpha^2 ~ Beta(a, b).
-
-    The autocorrelations decay like k^{1-b}, so the sum converges only for
-    b > 2; it is summed to a relative 1e-8.
+    (gamma_0 / 2 pi) * (2 S - 1) with gamma_0 the `csa_variance` and S the
+    sum of all rho_k; it equals (sigma^2 / 2 pi) E[(1 - alpha)^{-2}] with
+    alpha^2 ~ Beta(a, b). The even and odd lags sum to 2F1(1, a; a+b-1; 1)
+    and c 2F1(1, a+1/2; a+b-1/2; 1), c = rho_1 = B(a+1/2, b-1) / B(a, b-1),
+    so Gauss's theorem gives S = ((a+b-2) + c (a+b-3/2)) / (b-2), finite
+    only for b > 2. A value that overflows a float is a ValueError.
     """
-    total = _algebraic_series_sum(
-        lambda n: acf_csa_lags(p, n),
-        p.b - 1.0,
-        f"autocorrelation sum for b = {p.b}",
-    )
-    return csa_variance(p) / (2.0 * np.pi) * (2.0 * total - 1.0)
+    if p.b <= 2.0:
+        raise ConvergenceError(f"autocorrelation sum for b = {p.b} diverges (b <= 2: memory is nonnegative)")
+    a, excess = p.a, p.b - 2.0  # b - 2 is exact for b <= 4, where a + b - 2 would cancel
+    c = _gamma_half_ratio(a) / _gamma_half_ratio(a + (excess + 1.0))
+    s = ((a + excess) + c * (a + (excess + 0.5))) / excess
+    value = csa_variance(p) / (2.0 * np.pi) * (2.0 * s - 1.0)
+    if not math.isfinite(value):
+        raise ValueError(f"the spectral density at zero of {p} overflows a float")
+    return value

@@ -1,4 +1,5 @@
-"""Special-function kernel: Beta-function ratios, algebraic series tails and
+"""Special-function kernel: Beta- and Gamma-function ratios, algebraic series
+tails, and one summer of series given by their term ratio, which also sums
 hypergeometric series at unit argument.
 
 Everything here is pure and thread-safe. The Beta ratios are computed by
@@ -6,8 +7,10 @@ telescoping products rather than Gamma calls so they stay finite for very
 large shifts; Gamma, Beta and Hurwitz zeta values come from scipy.special.
 """
 
+import math
+
 import numpy as np
-from scipy.special import zeta
+from scipy.special import gamma, zeta
 
 __all__ = [
     "ConvergenceError",
@@ -16,7 +19,7 @@ __all__ = [
     "algebraic_tail_estimate",
 ]
 
-MAX_PFQ_TERMS = 10**7
+MAX_SERIES_TERMS = 10**7
 PFQ_REL_TOL = 1e-12
 
 
@@ -41,6 +44,17 @@ def beta_ratio_sequence(a, b, jmax):
     if jmax > 0:
         np.cumprod((a + i) / (a + b + i), out=out[1:])
     return out
+
+
+def _gamma_half_ratio(x):
+    """Gamma(x + 1/2) / Gamma(x) for x > 0, to a few ulps: a quotient of two
+    Gamma values below x = 20; above, where Gamma later overflows and
+    log-Gamma differences cancel, the asymptotic series of its log, whose
+    first omitted term is below 2e-17 from x = 20 on."""
+    if x < 20.0:
+        return float(gamma(x + 0.5) / gamma(x))
+    y = 1.0 / (x * x)
+    return math.sqrt(x) * math.exp((-1 / 8 + y * (1 / 192 + y * (-1 / 640 + y * (17 / 14336 - y * 31 / 18432)))) / x)
 
 
 def algebraic_tail_estimate(terms, exponent, n_last):
@@ -95,35 +109,32 @@ def hypergeometric_pfq(num, den):
         raise ConvergenceError(
             f"parameter excess {excess:.6g} <= 0: series diverges at z=1"
         )
-    return _pfq_unit_balanced(num, den, excess)
 
-
-def _pfq_unit_balanced(num, den, excess):
-    """(q+1)Fq at z = 1: block summation plus algebraic tail acceleration."""
-    s_exp = 1.0 + excess
-    n_block = 4096
-    terms = np.empty(1)
-    terms[0] = 1.0
-    prev = None
-    while terms.size <= MAX_PFQ_TERMS:
-        # extend the term array by one dyadic block via cumprod of ratios
-        n0 = terms.size
-        n = np.arange(n0 - 1, n0 - 1 + n_block, dtype=float)
-        ratios = np.full(n_block, 1.0)
+    def ratio(n):
+        r = np.full(n.size, 1.0)
         for c in num:
-            ratios *= c + n
+            r *= c + n
         for c in den:
-            ratios /= c + n
-        ratios /= n + 1.0
-        block = terms[-1] * np.cumprod(ratios)
-        terms = np.concatenate([terms, block])
-        n_block = terms.size  # double the block each pass
+            r /= c + n
+        return r / (n + 1.0)
 
-        n_last = terms.size - 1
-        total = float(terms.sum()) + algebraic_tail_estimate(terms, s_exp, n_last)
-        if prev is not None and abs(total - prev) <= PFQ_REL_TOL * abs(total):
+    return _sum_ratio_series(ratio, 1.0 + excess, PFQ_REL_TOL)
+
+
+def _sum_ratio_series(ratio, exponent, rel_tol):
+    """sum_{n >= 0} t_n with t_0 = 1 and t_{n+1} = t_n * ratio(n), for terms
+    decaying like n^{-exponent}: the partial sum plus `algebraic_tail_estimate`,
+    with the term array doubled from 4097 until that total is stable to a
+    relative `rel_tol`, or ConvergenceError past MAX_SERIES_TERMS terms."""
+    terms = np.ones(1)
+    prev = None
+    while terms.size <= MAX_SERIES_TERMS:
+        n = np.arange(terms.size - 1, terms.size - 1 + max(terms.size, 4096), dtype=float)
+        terms = np.concatenate([terms, terms[-1] * np.cumprod(ratio(n))])
+        total = float(terms.sum()) + algebraic_tail_estimate(terms, exponent, terms.size - 1)
+        if prev is not None and abs(total - prev) <= rel_tol * abs(total):
             return total
         prev = total
-    raise ConvergenceError(
-        f"no convergence after {MAX_PFQ_TERMS} terms (excess {excess:.3g})"
-    )
+    raise ConvergenceError(f"series ~ n^-{exponent:.6g} not stable to {rel_tol:g} after {MAX_SERIES_TERMS} terms")
+
+

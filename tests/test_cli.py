@@ -151,10 +151,24 @@ class TestAcfSpectrumGph:
         assert value < csa_spectrum_at_zero(CsaParams(1.0, 2.8))
 
     def test_spectrum_fast_decay(self, runner):
-        # b = 100: the tail fit's design underflows and the partial sum is the value
+        # b = 100: the autocorrelations fall like k^-99 and the closed form is
+        # printed unchanged
         res = runner.invoke(main, ["spectrum", "--a", "0.2", "--b", "100"])
         assert res.exit_code == 0, res.output
         assert float(res.output.strip()) == csa_aggregate_spectrum_at_zero(CsaParams(0.2, 100.0))
+
+    def test_spectrum_large_a(self, runner):
+        # the autocorrelations decay slowly here: the closed form needs no series
+        res = runner.invoke(main, ["spectrum", "--a", "1e6", "--b", "2.5"])
+        assert res.exit_code == 0, res.output
+        assert float(res.output.strip()) == pytest.approx(848827848603.189, rel=1e-11)
+
+    def test_spectrum_overflow(self, runner):
+        res = runner.invoke(main, ["spectrum", "--a", "1e300", "--b", "2.5"])
+        assert res.exit_code == 2, res.output
+        error = [line for line in res.output.splitlines() if line.startswith("Error:")]
+        assert len(error) == 1 and "overflows" in error[0]
+        assert "inf" not in res.output
 
     def test_gph_on_simulated_series(self, runner, tmp_path):
         series = tmp_path / "x.csv"
@@ -194,6 +208,13 @@ class TestFitMatch:
         assert res.exit_code == 0
         a_star = float(res.output.split("a_star=")[1].split()[0])
         assert 0.10 < a_star < 0.15
+
+    def test_match_without_interior_minimum(self, runner):
+        # a RuntimeError from the library is a numerical failure: exit 1
+        res = runner.invoke(main, ["match", "--k", "10", "--d", "0.001"])
+        assert res.exit_code == 1, res.output
+        assert "no interior minimum" in res.output
+        assert "Traceback" not in res.output
 
     def test_match_bad_d(self, runner):
         res = runner.invoke(main, ["match", "--k", "10", "--d", "0.7"])
@@ -518,3 +539,4 @@ def test_read_column_fuzz(data):
         res = CliRunner().invoke(main, ["gph", "--in", path])
     assert res.exit_code in (0, 2), (res.output, res.exc_info)
     assert "Traceback" not in res.output
+    assert "=nan" not in res.output

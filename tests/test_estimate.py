@@ -72,6 +72,20 @@ class TestGphEstimate:
         with pytest.raises(ValueError, match="constant"):
             gph_estimate(np.full(256, 1.5))
 
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.tile([1e308, -1e308], 8),
+            np.tile([0.0, 1.0], 32),
+            np.random.default_rng(3).standard_normal(64) * 1e200,
+        ],
+    )
+    def test_degenerate_periodogram_rejected(self, x):
+        # finite series whose band ordinates overflow or vanish; a numpy
+        # RuntimeWarning on the way would fail the test too
+        with pytest.raises(ValueError, match="overflows or is zero"):
+            gph_estimate(x)
+
     def test_fields_are_python_numbers(self):
         est = gph_estimate(np.random.default_rng(2).standard_normal(300))
         assert type(est.d_hat) is float and type(est.std_error) is float

@@ -308,9 +308,28 @@ class TestAggregateSpectrumAtZero:
             with pytest.raises(ConvergenceError):
                 csa_aggregate_spectrum_at_zero(CsaParams(0.5, b))
 
+    @pytest.mark.parametrize("a", [1e-3, 0.09, 1.0, 10.0, 1e3, 1e6, 1e9])
+    @pytest.mark.parametrize("b", [2.0001, 2.05, 2.4, 3.9, 100.0, 1000.0])
+    def test_closed_form_against_mpmath(self, a, b):
+        # Gauss's theorem on the even- and odd-lag 2F1 sums, with
+        # c = B(a+1/2, b-1) / B(a, b-1) in 40-digit arithmetic
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            am, bm = mp.mpf(a), mp.mpf(b)
+            c = mp.beta(am + 0.5, bm - 1) / mp.beta(am, bm - 1)
+            s = ((am + bm - 2) + c * (am + bm - 1.5)) / (bm - 2)
+            oracle = float((am + bm - 1) / (bm - 1) / (2 * mp.pi) * (2 * s - 1))
+        val = csa_aggregate_spectrum_at_zero(CsaParams(a, b))
+        assert type(val) is float
+        assert val == pytest.approx(oracle, rel=1e-11)
+
+    def test_overflow_is_a_value_error(self):
+        with pytest.raises(ValueError, match="overflows"):
+            csa_aggregate_spectrum_at_zero(CsaParams(1e300, 2.5))
+
     def test_fast_decay_sums_directly(self):
-        # autocorrelations ~ k^-99: the tail fit's design underflows, and the
-        # partial sum to lag 4096 is already exact to double precision
+        # autocorrelations ~ k^-99: the partial sum to lag 4096 is already
+        # exact to double precision, and the closed form agrees with it
         p = CsaParams(0.2, 100.0)
         direct = csa_variance(p) / (2.0 * math.pi) * (2.0 * float(acf_csa_lags(p, 4096).sum()) - 1.0)
         val = csa_aggregate_spectrum_at_zero(p)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import betaln
+from scipy.special import betaln, zeta
 
 from nonfrac.specfun import (
     ConvergenceError,
+    _sum_ratio_series,
     algebraic_tail_estimate,
     beta_ratio_sequence,
     hypergeometric_pfq,
@@ -128,6 +129,14 @@ class TestZeta:
         with mp.workdps(30):
             ref = float(mp.nsum(lambda n: term(mp.mpf(n)), [n_last + 1, mp.inf], method="euler-maclaurin"))
         assert algebraic_tail_estimate(terms, s, n_last) == pytest.approx(ref, rel=1e-10)
+
+
+class TestSumRatioSeries:
+    @pytest.mark.parametrize("s", [1.5, 2.0, 4.0])
+    def test_riemann_zeta(self, s):
+        # t_n = (n + 1)^-s sums to zeta(s); t_{n+1} / t_n = ((n + 1) / (n + 2))^s
+        total = _sum_ratio_series(lambda n: ((n + 1.0) / (n + 2.0)) ** s, s, 1e-12)
+        assert total == pytest.approx(float(zeta(s)), rel=1e-13)
 
 
 class TestHypergeometricPfq:
