@@ -295,7 +295,7 @@ def table(which, scale, seed, out, workers):
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True)
+@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), required=True)
 @click.option("--out", "out_prefix", type=click.Path(), required=True, help="output prefix for .csv and .json")
 @click.option("--workers", type=int, default=None)
 def experiment(config_path, out_prefix, workers):

@@ -82,7 +82,7 @@ def _gamma_star(p, k, d):
     num = np.array([1.0 + 2.0 * d, -d - k])
     den = np.array([-d, 1.0 + d, 1.0 + d - k])
     sign = np.prod(gammasgn(num)) / np.prod(gammasgn(den))
-    return float(p.sigma_eps**2 * sign * np.exp(gammaln(num).sum() - gammaln(den).sum()))
+    return p.sigma_eps * p.sigma_eps * float(sign * np.exp(gammaln(num).sum() - gammaln(den).sum()))
 
 
 def gamma_z(p, k):
@@ -90,7 +90,8 @@ def gamma_z(p, k):
     CSA(a, b) process, for b in (1, 2).
 
     gamma_z(k) = gamma*(k)/B(a,b) [ B(a,b-1)(F1(k) - 1) + B(a+1/2,b-1) F2(k) ],
-    where F1, F2 are sums of 4F3 values at unit argument.
+    where F1, F2 are sums of 4F3 values at unit argument. A value that
+    overflows a float is a ValueError.
     """
     if not 1.0 < p.b < 2.0:
         raise ValueError(f"gamma_z requires b in (1, 2), got {p.b}")
@@ -120,11 +121,12 @@ def gamma_z(p, k):
         f1, f2 = f1 + f1, f2 + f2
     else:
         f1, f2 = f1 + f1_branch(float(-k)), f2 + f2_branch(float(-k))
-    return float(
-        _gamma_star(p, float(k), d)
-        * (beta(a, b - 1.0) * (f1 - 1.0) + beta(a + 0.5, b - 1.0) * f2)
-        / beta(a, b)
-    )
+    # in Python floats, which overflow to inf without a numpy RuntimeWarning
+    bracket = float(beta(a, b - 1.0) * (f1 - 1.0) + beta(a + 0.5, b - 1.0) * f2)
+    value = _gamma_star(p, float(k), d) * bracket / float(beta(a, b))
+    if not math.isfinite(value):
+        raise ValueError(f"the lag-{k} autocovariance of the fractional difference of {p} overflows a float")
+    return value
 
 
 def zeta_fractional(p):
@@ -135,10 +137,13 @@ def zeta_fractional(p):
     and zeta = gamma_z(0) (1 - alpha_I^2) -- the dimensionally consistent
     form. The paper displays (gamma_z(0)^2 - gamma_z(1)^2) / gamma_z(0)^2
     = 1 - alpha_I^2 instead; that expression is capped at 1, so it cannot
-    be a relative error variance, and it is not computed here.
+    be a relative error variance, and it is not computed here. zeta is
+    relative to sigma_eps^2, so gamma_z is taken at sigma_eps = 1; the
+    reports carry the caller's p.
     """
-    g0 = gamma_z(p, 0)
-    g1 = gamma_z(p, 1)
+    unit = CsaParams(p.a, p.b)
+    g0 = gamma_z(unit, 0)
+    g1 = gamma_z(unit, 1)
     alpha_i = g1 / g0
     pure = EfficiencyReport(model="pure_frac", fitted_params=(), zeta=g0, csa=p)
     arfima = EfficiencyReport(

@@ -7,9 +7,10 @@ inverse of phi(z). g comes from Newton iteration on power series
 series"), which doubles the number of correct coefficients with each
 pair of FFT convolutions; forecasts are one more convolution of the
 innovations with the weights extended to the horizon. Every step is
-O(T log T) time and O(T) memory. g depends only on (a, b, T), so the
-last few inverses are cached and repeated forecasts at one fitted (a, b)
-skip the Newton iteration.
+O(T log T) time and O(T) memory. The spectra of g and of the extended
+weights depend only on (a, b, T) and (a, b, T+h), so the last few of each
+are cached: a repeated forecast at one fitted (a, b) skips the Newton
+iteration and makes four real FFTs, those of x, nu and the two products.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.linalg import solve_triangular, toeplitz
 
 from .model import CsaParams, csa_ma_coeffs
-from .spectral import circular_convolve
+from .spectral import _fft_length, circular_convolve
 
 __all__ = ["ForecastResult", "recover_innovations", "forecast_csa"]
 
@@ -27,9 +28,9 @@ __all__ = ["ForecastResult", "recover_innovations", "forecast_csa"]
 # below this a doubling's fixed cost exceeds the O(k^2) triangular solve.
 _DENSE_TERMS = 128
 
-# Inverse weight sequences kept by `_inverse_weights`: at most this many
-# arrays of 8T bytes each.
-_INVERSE_CACHE_SIZE = 4
+# Spectra kept by each of `_inverse_spectrum` and `_weight_spectrum`: at most
+# this many read-only complex arrays of 8(n+2) bytes, n = _fft_length(length).
+_SPECTRUM_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -63,15 +64,24 @@ def _inverse_series(phi):
     return g
 
 
-@lru_cache(maxsize=_INVERSE_CACHE_SIZE)
-def _inverse_weights(a, b, n):
-    """First n coefficients of 1 / phi(z) for CSA(a, b), read-only.
+def _read_only_spectrum(seq):
+    """rfft of seq zero-padded to `_fft_length(seq.size)`, read-only."""
+    spectrum = np.fft.rfft(seq, _fft_length(seq.size))
+    spectrum.flags.writeable = False
+    return spectrum
 
-    The weights do not depend on sigma_eps, so it is not part of the key.
-    """
-    g = _inverse_series(csa_ma_coeffs(CsaParams(a, b), n))
-    g.flags.writeable = False
-    return g
+
+# Neither spectrum depends on sigma_eps, so it is not part of either key.
+@lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
+def _inverse_spectrum(a, b, t):
+    """Spectrum of the first t coefficients of 1 / phi(z) for CSA(a, b)."""
+    return _read_only_spectrum(_inverse_series(csa_ma_coeffs(CsaParams(a, b), t)))
+
+
+@lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
+def _weight_spectrum(a, b, t):
+    """Spectrum of the first t MA weights of CSA(a, b)."""
+    return _read_only_spectrum(csa_ma_coeffs(CsaParams(a, b), t))
 
 
 def recover_innovations(x, p):
@@ -86,7 +96,8 @@ def recover_innovations(x, p):
         raise ValueError("x must be a nonempty 1-d sequence")
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
-    return circular_convolve(_inverse_weights(p.a, p.b, x.size), x)
+    n = _fft_length(x.size)
+    return np.fft.irfft(_inverse_spectrum(p.a, p.b, x.size) * np.fft.rfft(x, n), n)[: x.size]
 
 
 def forecast_csa(x, p, h):
@@ -104,7 +115,8 @@ def forecast_csa(x, p, h):
     if h > T:
         raise ValueError(f"horizon {h} exceeds sample size {T}")
     nu = recover_innovations(x, p)
-    y = circular_convolve(np.concatenate([nu, np.zeros(h)]), csa_ma_coeffs(p, T + h))
+    n = _fft_length(T + h)
+    y = np.fft.irfft(np.fft.rfft(nu, n) * _weight_spectrum(p.a, p.b, T + h), n)[: T + h]
     return ForecastResult(
         horizon=h,
         point_forecasts=y[T:],

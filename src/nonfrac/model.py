@@ -213,7 +213,7 @@ def csa_spectrum_at_zero(p):
     if p.b <= 2.0:
         raise ConvergenceError(f"weight sum for b = {p.b} diverges (b <= 2: memory is nonnegative)")
     total = _sum_ratio_series(lambda n: np.sqrt((p.a + n) / (p.a + p.b + n)), p.b / 2.0, 1e-8)
-    return p.sigma_eps**2 / (2.0 * np.pi) * total**2
+    return p.sigma_eps * p.sigma_eps / (2.0 * np.pi) * total**2
 
 
 def csa_aggregate_spectrum_at_zero(p):

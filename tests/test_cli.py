@@ -379,6 +379,14 @@ class TestBadInput:
         assert message in res.output
         assert "Traceback" not in res.output
 
+    def test_config_directory_rejected(self, runner, tmp_path):
+        res = runner.invoke(main, ["experiment", "--config", str(tmp_path), "--out", str(tmp_path / "r")])
+        assert res.exit_code == 2
+        error = [line for line in res.output.splitlines() if line.startswith("Error:")]
+        assert len(error) == 1 and "is a directory" in error[0]
+        assert "Traceback" not in res.output
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("command", ["simulate", "fit", "experiment"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_csa_parameter(self, runner, tmp_path, command, value):
@@ -481,6 +489,23 @@ class TestBadInput:
         assert "overflows" in res.output
         assert "Warning" not in res.output and "Traceback" not in res.output
         assert not out.exists()
+
+    def test_table3_zeta_is_free_of_sigma(self, runner, tmp_path):
+        # zeta is a ratio to sigma_eps^2, so a sigma whose square overflows is fine
+        values = []
+        for sigma in (1.0, 1e200):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({
+                "experiment": "table3",
+                "parameter_grid": [{"process": "csa", "a": 0.5, "b": 1.6, "sigma_eps": sigma}],
+            }))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = runner.invoke(main, ["experiment", "--config", str(cfg), "--out", str(tmp_path / "r")])
+            assert res.exit_code == 0, res.output
+            values.append([row["value"] for row in json.loads((tmp_path / "r.json").read_text())["rows"]])
+        assert values[0] == values[1]
+        assert values[0][0] == pytest.approx(1.2534, abs=1e-4)
 
 
 def test_no_numpy_repr_in_any_output(runner, tmp_path):

@@ -124,6 +124,12 @@ class TestGammaZ:
         with pytest.raises(ValueError):
             gamma_z(CsaParams(0.5, 1.6), -1)
 
+    def test_scales_with_sigma_squared_and_overflow_is_a_value_error(self):
+        one, two = gamma_z(CsaParams(0.5, 1.6), 1), gamma_z(CsaParams(0.5, 1.6, sigma_eps=2.0), 1)
+        assert two == 4.0 * one
+        with pytest.raises(ValueError, match="overflows a float"):
+            gamma_z(CsaParams(0.5, 1.6, sigma_eps=1e200), 0)
+
 
 class TestZetaFractional:
     def test_printed_anchors(self):
@@ -135,6 +141,16 @@ class TestZetaFractional:
         assert pure.zeta == pytest.approx(2.138, abs=0.005)
         assert arfima.fitted_params[0] == pytest.approx(0.699, abs=0.005)
         assert arfima.zeta == pytest.approx(1.093, abs=0.005)
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0, 1e200])
+    def test_zeta_does_not_depend_on_sigma(self, sigma):
+        # zeta is relative to sigma_eps^2, like zeta_ar's; the reports keep
+        # the caller's parameters
+        p = CsaParams(0.5, 1.6, sigma_eps=sigma)
+        got = zeta_fractional(p)
+        unit = zeta_fractional(CsaParams(0.5, 1.6))
+        assert [(r.zeta, r.fitted_params) for r in got] == [(r.zeta, r.fitted_params) for r in unit]
+        assert all(r.csa == p for r in got)
 
     def test_arfima_beats_pure_when_alpha_positive(self):
         pure, arfima = zeta_fractional(CsaParams(0.9, 1.4))

@@ -12,6 +12,7 @@ from nonfrac import forecast
 from nonfrac.forecast import forecast_csa, recover_innovations
 from nonfrac.model import CsaParams, csa_ma_coeffs
 from nonfrac.simulate import generate_csa_fast
+from nonfrac.spectral import _fft_length, circular_convolve
 
 CSA = CsaParams(0.3, 1.5)
 
@@ -19,6 +20,19 @@ CSA = CsaParams(0.3, 1.5)
 # seed (128 terms) and the first Newton doublings
 ORACLE_PARAMS = [(0.05, 1.02), (0.3, 1.5), (2.0, 3.9), (10.0, 8.0)]
 ORACLE_T = [1, 2, 127, 128, 129, 257, 1000]
+
+
+SPECTRUM_CACHES = (forecast._inverse_spectrum, forecast._weight_spectrum)
+
+
+def _clear_spectra():
+    for cache in SPECTRUM_CACHES:
+        cache.cache_clear()
+
+
+def _cache_counts(cache):
+    info = cache.cache_info()
+    return info.hits, info.misses, info.currsize
 
 
 def _brute_force_forecasts(phi, nu, h):
@@ -68,12 +82,12 @@ class TestRecoverInnovations:
     def test_non_finite_rejected(self, bad):
         x = generate_csa_fast(CSA, 64, seed=3).values
         x[10] = bad
-        forecast._inverse_weights.cache_clear()
+        _clear_spectra()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="x must be finite"):
                 forecast_csa(x, CSA, 5)
-        assert forecast._inverse_weights.cache_info().currsize == 0
+        assert [c.cache_info().currsize for c in SPECTRUM_CACHES] == [0, 0]
 
 
 class TestForecastCsa:
@@ -150,6 +164,9 @@ def _forecast_bytes(x, p, h):
 
 
 class TestInverseWeightCache:
+    """The spectra of the inverse weights, keyed by (a, b, T), and of the
+    weights extended to the horizon, keyed by (a, b, T+h)."""
+
     @pytest.mark.parametrize(
         "a, b, T",
         [(a, b, T) for a, b in ORACLE_PARAMS for T in [1, 128, 129, 1000]] + [(10.0, 1.02, 10_000)],
@@ -158,48 +175,101 @@ class TestInverseWeightCache:
         p = CsaParams(a, b)
         x = generate_csa_fast(p, T, seed=T).values
         h = min(T, 20)
-        forecast._inverse_weights.cache_clear()
+        _clear_spectra()
         cold = _forecast_bytes(x, p, h)
-        assert forecast._inverse_weights.cache_info().misses == 1
+        assert [_cache_counts(c) for c in SPECTRUM_CACHES] == [(0, 1, 1)] * 2
         warm = _forecast_bytes(x, p, h)
-        assert forecast._inverse_weights.cache_info().hits == 1
+        assert [_cache_counts(c) for c in SPECTRUM_CACHES] == [(1, 1, 1)] * 2
         assert warm == cold
-        # the cached weights are those of a fresh inversion
-        fresh = forecast._inverse_series(csa_ma_coeffs(p, T))
-        assert forecast._inverse_weights(a, b, T).tobytes() == fresh.tobytes()
+        # the cached spectra are those of a fresh inversion and fresh weights
+        n = _fft_length(T)
+        fresh = np.fft.rfft(forecast._inverse_series(csa_ma_coeffs(p, T)), n)
+        assert forecast._inverse_spectrum(a, b, T).tobytes() == fresh.tobytes()
+        n = _fft_length(T + h)
+        fresh = np.fft.rfft(csa_ma_coeffs(p, T + h), n)
+        assert forecast._weight_spectrum(a, b, T + h).tobytes() == fresh.tobytes()
 
     def test_parameters_do_not_share_an_entry(self):
-        forecast._inverse_weights.cache_clear()
+        _clear_spectra()
         x = generate_csa_fast(CSA, 300, seed=1).values
         forecast_csa(x, CsaParams(0.3, 1.5), 5)
         forecast_csa(x, CsaParams(0.3, 1.6), 5)
         forecast_csa(x, CsaParams(0.4, 1.5), 5)
-        info = forecast._inverse_weights.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 3, 3)
+        assert [_cache_counts(c) for c in SPECTRUM_CACHES] == [(0, 3, 3)] * 2
 
     def test_sigma_shares_an_entry(self):
-        forecast._inverse_weights.cache_clear()
+        _clear_spectra()
         x = generate_csa_fast(CSA, 300, seed=1).values
         one = forecast_csa(x, CsaParams(0.3, 1.5, sigma_eps=1.0), 5)
         two = forecast_csa(x, CsaParams(0.3, 1.5, sigma_eps=2.5), 5)
-        info = forecast._inverse_weights.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert [_cache_counts(c) for c in SPECTRUM_CACHES] == [(1, 1, 1)] * 2
         assert one.point_forecasts.tobytes() == two.point_forecasts.tobytes()
 
     def test_cached_weights_are_read_only(self):
-        g = forecast._inverse_weights(0.3, 1.5, 64)
-        assert not g.flags.writeable
-        with pytest.raises(ValueError):
-            g[0] = 2.0
+        for cache in SPECTRUM_CACHES:
+            spectrum = cache(0.3, 1.5, 64)
+            assert not spectrum.flags.writeable
+            with pytest.raises(ValueError):
+                spectrum[0] = 2.0
 
     def test_size_is_bounded(self):
-        forecast._inverse_weights.cache_clear()
-        maxsize = forecast._inverse_weights.cache_info().maxsize
+        _clear_spectra()
         x = generate_csa_fast(CSA, 200, seed=4).values
-        for k in range(maxsize + 3):
+        for cache in SPECTRUM_CACHES:
+            assert cache.cache_info().maxsize == forecast._SPECTRUM_CACHE_SIZE
+        for k in range(forecast._SPECTRUM_CACHE_SIZE + 3):
             forecast_csa(x, CsaParams(0.3 + 0.1 * k, 1.5), 3)
-            assert forecast._inverse_weights.cache_info().currsize <= maxsize
-        assert forecast._inverse_weights.cache_info().currsize == maxsize
+            assert all(c.cache_info().currsize <= forecast._SPECTRUM_CACHE_SIZE for c in SPECTRUM_CACHES)
+        assert [c.cache_info().currsize for c in SPECTRUM_CACHES] == [forecast._SPECTRUM_CACHE_SIZE] * 2
+
+    def test_warm_call_makes_four_ffts_and_no_weights(self, monkeypatch):
+        x = generate_csa_fast(CSA, 1000, seed=6).values
+        forecast_csa(x, CSA, 20)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "rfft", counted("rfft", np.fft.rfft))
+        monkeypatch.setattr(np.fft, "irfft", counted("irfft", np.fft.irfft))
+        monkeypatch.setattr(forecast, "csa_ma_coeffs", counted("weights", csa_ma_coeffs))
+        forecast_csa(x, CSA, 20)
+        assert sorted(calls) == ["irfft", "irfft", "rfft", "rfft"]
+
+    def test_entries_are_shared_by_length(self):
+        _clear_spectra()
+        x = generate_csa_fast(CSA, 300, seed=1).values
+        # equal T + h share the weights entry
+        forecast_csa(x, CSA, 10)
+        forecast_csa(x[:290], CSA, 20)
+        assert _cache_counts(forecast._weight_spectrum) == (1, 1, 1)
+        assert _cache_counts(forecast._inverse_spectrum) == (0, 2, 2)
+        # different h at one T share only the inverse entry
+        _clear_spectra()
+        forecast_csa(x, CSA, 5)
+        forecast_csa(x, CSA, 7)
+        assert _cache_counts(forecast._inverse_spectrum) == (1, 1, 1)
+        assert _cache_counts(forecast._weight_spectrum) == (0, 2, 2)
+
+    @pytest.mark.parametrize("a, b", ORACLE_PARAMS + [(0.2, 1.6), (10.0, 1.02)])
+    def test_matches_convolution_formula_bit_for_bit(self, a, b):
+        # the two-convolution form the cached spectra replace:
+        # nu = g * x, then y = [nu, 0_h] * phi_{T+h}
+        p = CsaParams(a, b)
+        for T in [1, 2, 127, 128, 129, 257, 1000, 10_000]:
+            x = generate_csa_fast(p, T, seed=T).values
+            g = forecast._inverse_series(csa_ma_coeffs(p, T))
+            nu = circular_convolve(g, x)
+            for h in sorted({1, min(20, T), T}):
+                y = circular_convolve(np.concatenate([nu, np.zeros(h)]), csa_ma_coeffs(p, T + h))
+                expected = y[T:].tobytes(), nu.tobytes(), float(np.max(np.abs(y[:T] - x)))
+                _clear_spectra()
+                assert _forecast_bytes(x, p, h) == expected, (T, h)  # cold
+                assert _forecast_bytes(x, p, h) == expected, (T, h)  # warm
 
 
 def test_import_leaves_scipy_signal_out():
