@@ -10,9 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_toeplitz
-from scipy.special import beta, gammaln, gammasgn
 
-from .model import CsaParams, FracParams, acf_csa_lags, acf_frac_lags
+from .model import CsaParams, FracParams, acf_csa_lags, acf_frac_lags, csa_variance
 from .specfun import hypergeometric_pfq
 
 __all__ = [
@@ -49,49 +48,43 @@ def fit_ar_population(p, order):
     r = acf_csa_lags(p, order)
     if order == 1:
         return np.array([r[1]])
-    try:
-        return solve_toeplitz(r[:order], r[1 : order + 1])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - valid params never hit this
-        raise np.linalg.LinAlgError(
-            f"singular Yule-Walker system for a={p.a}, b={p.b}, order={order}"
-        ) from exc
+    return solve_toeplitz(r[:order], r[1 : order + 1])
 
 
 def zeta_ar(p, coeffs):
-    """Relative one-step forecast error variance of an AR fit:
+    """Relative one-step forecast error variance of an AR fit, the quadratic
+    form of c = (1, -alpha_1, ..., -alpha_p) in the autocorrelations:
 
-    (B(a,b-1)/B(a,b)) [ (1 + sum alpha_i^2)
-                        + 2 sum_i gamma(i) (-alpha_i + sum_j alpha_j alpha_{j+i}) ]
+    zeta = (B(a,b-1)/B(a,b)) sum_{i,j} c_i c_j rho_|i-j| = (B(a,b-1)/B(a,b)) sum_k w_k rho_k,
+
+    w_k = (2 - [k = 0]) sum_i c_i c_{i+k}. The terms cancel near a unit root
+    (large a): a zeta that their rounding could move by more than 1e-6
+    relative, or one below 1, the bound for any coefficients, is a RuntimeError.
     """
-    alpha = np.asarray(coeffs, dtype=float)
-    order = alpha.size
-    g = acf_csa_lags(p, order)[1:]
-    cross = np.array(
-        [
-            -alpha[i] + float(np.dot(alpha[: order - i - 1], alpha[i + 1 :]))
-            for i in range(order)
-        ]
-    )
+    c = np.concatenate(([1.0], -np.asarray(coeffs, dtype=float)))
+    w = np.correlate(c, c, "full")[c.size - 1 :]
+    w[1:] *= 2.0
+    rho = acf_csa_lags(p, c.size - 1)  # positive, so the terms' absolute sum is |w| . rho
     var_ratio = (p.a + p.b - 1.0) / (p.b - 1.0)  # B(a,b-1)/B(a,b)
-    return var_ratio * ((1.0 + float(np.dot(alpha, alpha))) + 2.0 * float(np.dot(g, cross)))
-
-
-def _gamma_star(p, k, d):
-    """sigma^2 Gamma(1+2d)/(Gamma(-d)Gamma(1+d)) * Gamma(-d-k)/Gamma(1+d-k),
-    with sign-tracked log-gamma since several arguments are negative."""
-    num = np.array([1.0 + 2.0 * d, -d - k])
-    den = np.array([-d, 1.0 + d, 1.0 + d - k])
-    sign = np.prod(gammasgn(num)) / np.prod(gammasgn(den))
-    return p.sigma_eps * p.sigma_eps * float(sign * np.exp(gammaln(num).sum() - gammaln(den).sum()))
+    zeta = var_ratio * float(w @ rho)
+    rounding = var_ratio * math.ulp(1.0) * float(abs(w) @ rho)
+    if not (zeta >= 1.0 and rounding <= 1e-6 * zeta):
+        raise RuntimeError(f"zeta of the AR({c.size - 1}) fit to {p} is lost to cancellation: {zeta!r} +/- {rounding:.2g}")
+    return zeta
 
 
 def gamma_z(p, k):
     """Autocovariance at lag k of the d = 1 - b/2 fractional difference of a
-    CSA(a, b) process, for b in (1, 2).
+    CSA(a, b) process, for b in (1, 2):
 
-    gamma_z(k) = gamma*(k)/B(a,b) [ B(a,b-1)(F1(k) - 1) + B(a+1/2,b-1) F2(k) ],
-    where F1, F2 are sums of 4F3 values at unit argument. A value that
-    overflows a float is a ValueError.
+    gamma_z(k) = gamma*(k)/B(a,b) [ B(a,b-1)(F1(k) - 1) + B(a+1/2,b-1) F2(k) ]
+               = gamma*(k) (B(a,b-1)/B(a,b)) [ (F1(k) - 1) + rho_1 F2(k) ],
+
+    with F1, F2 sums of 4F3 values at unit argument. By the reflection formula
+    gamma*(k) = sigma^2 Gamma(1+2d)/(Gamma(-d)Gamma(1+d)) Gamma(-d-k)/Gamma(1+d-k)
+    is sigma^2 Gamma(1+2d)/Gamma(1+d)^2 times the lag-k autocorrelation of
+    I(-d), that process's autocovariance. A value that overflows a float is
+    a ValueError.
     """
     if not 1.0 < p.b < 2.0:
         raise ValueError(f"gamma_z requires b in (1, 2), got {p.b}")
@@ -107,13 +100,9 @@ def gamma_z(p, k):
         )
 
     def f2_branch(s):
-        return (
-            (-d + s)
-            / (1.0 + d + s)
-            * hypergeometric_pfq(
-                (1.0, a + 0.5, (1.0 - d + s) / 2.0, (2.0 - d + s) / 2.0),
-                (a + b - 0.5, (2.0 + d + s) / 2.0, (3.0 + d + s) / 2.0),
-            )
+        return (-d + s) / (1.0 + d + s) * hypergeometric_pfq(
+            (1.0, a + 0.5, (1.0 - d + s) / 2.0, (2.0 - d + s) / 2.0),
+            (a + b - 0.5, (2.0 + d + s) / 2.0, (3.0 + d + s) / 2.0),
         )
 
     f1, f2 = f1_branch(float(k)), f2_branch(float(k))
@@ -122,8 +111,9 @@ def gamma_z(p, k):
     else:
         f1, f2 = f1 + f1_branch(float(-k)), f2 + f2_branch(float(-k))
     # in Python floats, which overflow to inf without a numpy RuntimeWarning
-    bracket = float(beta(a, b - 1.0) * (f1 - 1.0) + beta(a + 0.5, b - 1.0) * f2)
-    value = _gamma_star(p, float(k), d) * bracket / float(beta(a, b))
+    star = math.gamma(1.0 + 2.0 * d) / math.gamma(1.0 + d) ** 2 * float(acf_frac_lags(FracParams(-d), k)[k])
+    bracket = (f1 - 1.0) + float(acf_csa_lags(p, 1)[1]) * f2
+    value = csa_variance(p) * star * bracket
     if not math.isfinite(value):
         raise ValueError(f"the lag-{k} autocovariance of the fractional difference of {p} overflows a float")
     return value

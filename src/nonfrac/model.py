@@ -4,9 +4,9 @@ I(d): fractionally differenced white noise with memory d in (-1/2, 1/2).
 CSA(a, b): the limit of 1/sqrt(N) aggregation of AR(1) units whose squared
 coefficients are Beta(a, b) draws; implied memory d = 1 - b/2.
 
-All Gamma-ratio quantities use one-step recursions where lags shift by
-integers, and log-Beta differences where they shift by half-integers, so
-they stay stable for lags up to 1e6.
+Beta ratios are one-step product recursions over integer shifts, and the
+one half-integer shift, rho_1, is a ratio of two `_gamma_half_ratio` values,
+so the autocorrelations stay accurate and finite for lags up to 1e6.
 """
 
 import math
@@ -14,7 +14,6 @@ import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
-from scipy.special import betaln
 
 from .specfun import ConvergenceError, _gamma_half_ratio, _sum_ratio_series, beta_ratio_sequence
 
@@ -177,26 +176,29 @@ def acf_frac_lags(p, kmax):
 
 def acf_csa_lags(p, kmax):
     """Autocorrelations of CSA(a, b) at lags 0..kmax:
-    B(a+k/2, b-1) / B(a, b-1).
+    rho_k = B(a+k/2, b-1) / B(a, b-1) = E[Y^{k/2}], Y ~ Beta(a, b-1).
 
-    Always strictly positive, decays like k^{1-b}. The half-integer lag
-    shift rules out a pure product recursion, so this goes through
-    log-Beta differences.
+    Always strictly positive, decays like k^{1-b}. Split by parity, each
+    half is a product recursion: rho_{2m} = B(a+m, b-1) / B(a, b-1) and
+    rho_{2m+1} = rho_1 B(a+1/2+m, b-1) / B(a+1/2, b-1), with
+    rho_1 = Gamma(a+1/2) Gamma(a+b-1) / (Gamma(a) Gamma(a+b-1/2)).
     """
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
-    k = np.arange(kmax + 1, dtype=float)
-    out = np.exp(betaln(p.a + k / 2.0, p.b - 1.0) - betaln(p.a, p.b - 1.0))
-    out[0] = 1.0
+    out = np.empty(kmax + 1)
+    out[0::2] = beta_ratio_sequence(p.a, p.b - 1.0, kmax // 2)
+    if kmax > 0:
+        rho1 = _gamma_half_ratio(p.a) / _gamma_half_ratio(p.a + (p.b - 1.0))
+        out[1::2] = rho1 * beta_ratio_sequence(p.a + 0.5, p.b - 1.0, (kmax - 1) // 2)
     return out
 
 
 def csa_variance(p):
     """Process variance sigma_eps^2 * B(a, b-1) / B(a, b), the limit of
     sigma_eps^2 * sum phi_j^2."""
-    # B(a, b-1)/B(a, b) simplifies to (a+b-1)/(b-1); sigma * sigma, unlike
-    # sigma**2, overflows to inf instead of raising OverflowError
-    return p.sigma_eps * p.sigma_eps * (p.a + p.b - 1.0) / (p.b - 1.0)
+    # B(a, b-1)/B(a, b) simplifies to (a+b-1)/(b-1); sigma squared as a float overflows
+    # to inf, where sigma**2, or an int's exact square times a float, raises OverflowError
+    return float(p.sigma_eps) * p.sigma_eps * (p.a + p.b - 1.0) / (p.b - 1.0)
 
 
 def csa_spectrum_at_zero(p):
@@ -213,7 +215,7 @@ def csa_spectrum_at_zero(p):
     if p.b <= 2.0:
         raise ConvergenceError(f"weight sum for b = {p.b} diverges (b <= 2: memory is nonnegative)")
     total = _sum_ratio_series(lambda n: np.sqrt((p.a + n) / (p.a + p.b + n)), p.b / 2.0, 1e-8)
-    return p.sigma_eps * p.sigma_eps / (2.0 * np.pi) * total**2
+    return float(p.sigma_eps) * p.sigma_eps / (2.0 * np.pi) * total**2  # as in csa_variance
 
 
 def csa_aggregate_spectrum_at_zero(p):
@@ -228,7 +230,7 @@ def csa_aggregate_spectrum_at_zero(p):
     if p.b <= 2.0:
         raise ConvergenceError(f"autocorrelation sum for b = {p.b} diverges (b <= 2: memory is nonnegative)")
     a, excess = p.a, p.b - 2.0  # b - 2 is exact for b <= 4, where a + b - 2 would cancel
-    c = _gamma_half_ratio(a) / _gamma_half_ratio(a + (excess + 1.0))
+    c = float(acf_csa_lags(p, 1)[1])
     s = ((a + excess) + c * (a + (excess + 0.5))) / excess
     value = csa_variance(p) / (2.0 * np.pi) * (2.0 * s - 1.0)
     if not math.isfinite(value):

@@ -58,8 +58,8 @@ def _generate_fast(p, T, seed, innovations):
 
 def generate_csa_fast(p, T, seed, innovations=None):
     """Fast CSA(a, b) path: convolve seeded N(0, sigma^2) innovations with
-    the MA weights. `innovations` overrides the random draw (test hook:
-    an impulse returns the weight sequence itself)."""
+    the MA weights. `innovations` overrides the random draw (a stream shared
+    with another law, or an impulse, which returns the weights)."""
     return _generate_fast(p, T, seed, innovations)
 
 

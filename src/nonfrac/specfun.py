@@ -4,7 +4,8 @@ hypergeometric series at unit argument.
 
 Everything here is pure and thread-safe. The Beta ratios are computed by
 telescoping products rather than Gamma calls so they stay finite for very
-large shifts; Gamma, Beta and Hurwitz zeta values come from scipy.special.
+large shifts. The one module to import scipy.special: Gamma values for
+Gamma(x + 1/2) / Gamma(x) below x = 20, and the Hurwitz zeta of series tails.
 """
 
 import math

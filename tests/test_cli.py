@@ -465,12 +465,18 @@ class TestBadInput:
         assert lines[1] == "cell,process,a,b,sigma_eps,lag,statistic,value"
         assert lines[2] == "0,csa,1,3,1.0,0,acf,1.0"
 
-    @pytest.mark.parametrize("command", ["simulate", "simulate-naive", "experiment"])
+    @pytest.mark.parametrize("command", ["simulate", "simulate-naive", "experiment", "experiment-periodogram"])
     def test_overflowing_sigma(self, runner, tmp_path, command):
+        # a path of 1e308 overflows; one of 1e200 is finite, but its periodogram is not
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "experiment": "table1", "sample_size": 64, "replications": 2,
             "parameter_grid": [{"process": "csa", "a": 0.2, "b": 1.6, "sigma_eps": 1e308}],
+        }))
+        pgram_cfg = tmp_path / "pgram.json"
+        pgram_cfg.write_text(json.dumps({
+            "experiment": "fig_mean_periodogram", "sample_size": 64, "replications": 2,
+            "parameter_grid": [{"process": "csa", "a": 0.5, "b": 1.6, "sigma_eps": 1e200}],
         }))
         out = tmp_path / "s.csv"
         args = {
@@ -481,6 +487,7 @@ class TestBadInput:
                                "--units", "4", "--burnin", "3", "--out", str(out)],
             "experiment": ["experiment", "--config", str(cfg), "--out", str(tmp_path / "s"),
                            "--workers", "1"],
+            "experiment-periodogram": ["experiment", "--config", str(pgram_cfg), "--out", str(tmp_path / "s")],
         }[command]
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -75,6 +75,49 @@ class TestZetaAr:
         assert zeta_ar(CsaParams(0.1, 1.1), fit_ar_population(CsaParams(0.1, 1.1), 1)) == pytest.approx(1.387, abs=0.002)
         assert zeta_ar(CsaParams(1.7, 1.8), fit_ar_population(CsaParams(1.7, 1.8), 20)) == pytest.approx(1.075, abs=0.002)
 
+    @staticmethod
+    def _ar1_oracle(a, b):
+        # (a+b-1)/(b-1) (1 - rho_1^2), rho_1 = B(a+1/2, b-1) / B(a, b-1), in
+        # 50-digit arithmetic
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            am, bm = mp.mpf(a), mp.mpf(b)
+            rho1 = mp.beta(am + 0.5, bm - 1) / mp.beta(am, bm - 1)
+            return float((am + bm - 1) / (bm - 1) * (1 - rho1**2))
+
+    @pytest.mark.parametrize("a", [1e3, 1e6])
+    def test_large_a_against_mpmath(self, a):
+        p = CsaParams(a, 1.5)
+        zeta = zeta_ar(p, fit_ar_population(p, 1))
+        assert zeta == pytest.approx(self._ar1_oracle(a, 1.5), rel=1e-8)
+
+    @pytest.mark.parametrize("a", [1e9, 1e15])
+    def test_huge_a_accurate_or_refused(self, a):
+        # (1 + alpha^2) - 2 rho_1 alpha cancels as alpha -> 1
+        p = CsaParams(a, 1.5)
+        try:
+            zeta = zeta_ar(p, fit_ar_population(p, 1))
+        except RuntimeError as exc:
+            assert "cancellation" in str(exc)
+        else:
+            assert zeta == pytest.approx(self._ar1_oracle(a, 1.5), rel=1e-6)
+
+    def test_at_least_one_whenever_returned(self):
+        # zeta >= 1 for any coefficients: no forecaster of the aggregate beats
+        # one that sees every unit's innovations
+        returned = 0
+        for a in 10.0 ** np.arange(0.0, 15.5, 0.5):
+            for b in (1.1, 1.5, 1.9):
+                for order in (1, 20):
+                    p = CsaParams(a, b)
+                    try:
+                        zeta = zeta_ar(p, fit_ar_population(p, order))
+                    except (RuntimeError, np.linalg.LinAlgError):  # refused, or a singular Yule-Walker solve
+                        continue
+                    returned += 1
+                    assert zeta >= 1.0, (a, b, order)
+        assert returned > 50
+
 
 class TestGammaZ:
     def test_against_double_sum_oracle(self):
@@ -129,6 +172,12 @@ class TestGammaZ:
         assert two == 4.0 * one
         with pytest.raises(ValueError, match="overflows a float"):
             gamma_z(CsaParams(0.5, 1.6, sigma_eps=1e200), 0)
+
+    def test_int_sigma_is_its_float(self):
+        # an int sigma whose square overflows gives inf, as its float does, not OverflowError
+        assert gamma_z(CsaParams(0.5, 1.6, 3), 1) == gamma_z(CsaParams(0.5, 1.6, 3.0), 1)
+        with pytest.raises(ValueError, match="overflows a float"):
+            gamma_z(CsaParams(0.5, 1.6, 10**200), 0)
 
 
 class TestZetaFractional:

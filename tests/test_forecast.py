@@ -1,13 +1,9 @@
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular, toeplitz
 
-import nonfrac
 from nonfrac import forecast
 from nonfrac.forecast import forecast_csa, recover_innovations
 from nonfrac.model import CsaParams, csa_ma_coeffs
@@ -270,12 +266,3 @@ class TestInverseWeightCache:
                 _clear_spectra()
                 assert _forecast_bytes(x, p, h) == expected, (T, h)  # cold
                 assert _forecast_bytes(x, p, h) == expected, (T, h)  # warm
-
-
-def test_import_leaves_scipy_signal_out():
-    # importing scipy.signal adds about 1 s and 40 MB to every process's start-up
-    code = "import sys, nonfrac, nonfrac.cli; print(nonfrac.__file__, 'scipy.signal' in sys.modules)"
-    src = os.path.dirname(os.path.dirname(nonfrac.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.split() == [nonfrac.__file__, "False"]

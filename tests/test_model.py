@@ -208,6 +208,22 @@ class TestAcf:
             expected = math.gamma(k + d) * math.gamma(1 - d) / (math.gamma(k - d + 1) * math.gamma(d))
             assert seq[k] == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [(0.09, 2.4), (0.2, 1.6), (0.5, 1.02), (1.7, 1.1), (10.0, 8.0), (1e3, 1.5), (1e6, 1.5), (0.001, 1.001)],
+    )
+    def test_csa_against_mpmath_beta_ratio(self, a, b):
+        # B(a+k/2, b-1) / B(a, b-1) in 30-digit arithmetic, at lags of both
+        # parities up to 1e6
+        mp = pytest.importorskip("mpmath")
+        lags = (1, 2, 3, 50, 51, 1001, 10**4, 10**5 + 1, 10**6)
+        rho = acf_csa_lags(CsaParams(a, b), lags[-1])
+        with mp.workdps(30):
+            am, bm = mp.mpf(a), mp.mpf(b)
+            for k in lags:
+                oracle = float(mp.beta(am + mp.mpf(k) / 2, bm - 1) / mp.beta(am, bm - 1))
+                assert rho[k] == pytest.approx(oracle, rel=1e-10), k
+
     def test_sign_dichotomy(self):
         # for negative memory the fractional ACF is negative at every lag
         # while the aggregated one with b = 2(1-d) stays positive
@@ -239,6 +255,13 @@ class TestCsaVariance:
         p = CsaParams(0.2, 2.4)
         expected = math.exp(betaln(0.2, 1.4) - betaln(0.2, 2.4))
         assert csa_variance(p) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [3, 10**200], ids=["int", "int_square_overflows"])
+    def test_int_sigma_is_its_float(self, sigma):
+        # sigma is squared as a float: 10**200 gives inf, as 1e200 does,
+        # not OverflowError
+        for f, p in ((csa_variance, CsaParams(0.2, 1.6, sigma)), (csa_spectrum_at_zero, CsaParams(0.2, 2.4, sigma))):
+            assert f(p) == f(CsaParams(p.a, p.b, float(sigma)))
 
     def test_partial_sum_limit(self):
         p = CsaParams(0.5, 1.8)

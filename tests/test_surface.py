@@ -1,7 +1,11 @@
-"""The names other code looks up by module attribute: the package exports and
-the functions the perfbench workloads and tracer call or wrap."""
+"""The names other code looks up by module attribute (the package exports and
+the functions the perfbench workloads and tracer call or wrap), and what
+importing the package loads."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -35,3 +39,20 @@ def test_result_writer_exists():
 def test_package_exports_resolve():
     for name in nonfrac.__all__:
         assert hasattr(nonfrac, name), name
+
+
+def test_import_loads_only_fft_linalg_special_from_scipy():
+    # each further scipy subpackage adds start-up time to every process:
+    # scipy.signal about 1 s and 40 MB, scipy.optimize 0.12-0.16 s
+    code = (
+        "import sys, scipy; before = set(sys.modules)\n"
+        "import nonfrac, nonfrac.cli\n"
+        "loaded = {m.split('.')[1] for m in set(sys.modules) - before if m.startswith('scipy.')}\n"
+        "print(nonfrac.__file__, *sorted(n for n in loaded if not n.startswith('_')))"
+    )
+    src = os.path.dirname(os.path.dirname(nonfrac.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    path, *subpackages = out.stdout.split()
+    assert path == nonfrac.__file__
+    assert set(subpackages) <= {"fft", "linalg", "special"}
