@@ -42,13 +42,17 @@ class EfficiencyReport:
 def fit_ar_population(p, order):
     """Population AR coefficients from the Yule-Walker system built on the
     closed-form CSA autocorrelations (Levinson solve; order=1 reduces to
-    the lag-1 autocorrelation exactly)."""
+    the lag-1 autocorrelation exactly). A system that is singular in floating
+    point, as near a unit root (huge a), is a RuntimeError."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     r = acf_csa_lags(p, order)
     if order == 1:
         return np.array([r[1]])
-    return solve_toeplitz(r[:order], r[1 : order + 1])
+    try:
+        return solve_toeplitz(r[:order], r[1 : order + 1])
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"the AR({order}) Yule-Walker system of {p} is singular in floating point: {exc}") from None
 
 
 def zeta_ar(p, coeffs):

@@ -5,13 +5,14 @@ fractional efficiency-loss tables (table2, table3) and the data behind the
 figures, with deterministic index-derived seeding: the per-replication seed
 is a pure function of (master_seed, cell index, replication index), so the
 result is identical no matter how replications are scheduled across
-workers.
+worker processes or threads. A run whose replications raise raises what
+the first failing replication, in task order, raised.
 """
 
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 
@@ -198,11 +199,14 @@ def run_experiment(cfg, workers=None):
     """Run one configured experiment and return its full result.
 
     The replications of every Monte Carlo cell share one pool of at most
-    `workers` processes, by default the CPU count; one or fewer, or a run
-    too small to pay for the fork (`_pool_size`), runs them serially.
+    `workers` processes, by default the CPU count. A run too small to pay
+    for the fork (`_pool_size`) runs them in this process: on up to
+    `workers` threads when each path has at least `_THREAD_MIN_SAMPLE_SIZE`
+    samples, serially otherwise or with `workers` of one or fewer.
     Deterministic given the config; rows are emitted only once every cell
     finished, never partially. `metadata["workers"]` is the number of
-    processes the run used.
+    processes the run used and `metadata["threads"]` the number of threads
+    that ran replications.
     """
     t0 = time.perf_counter()
     if workers is None:
@@ -210,15 +214,16 @@ def run_experiment(cfg, workers=None):
     if cfg.experiment in _MONTE_CARLO:
         grid_of, statistic, rows_of = _MONTE_CARLO[cfg.experiment]
         grid = grid_of(cfg)
-        per_cell, processes = _replicate_cells(cfg, grid, statistic, workers)
+        per_cell, processes, threads = _replicate_cells(cfg, grid, statistic, workers)
         rows = rows_of(cfg, grid, per_cell)
     else:
-        rows, processes = _ANALYTIC[cfg.experiment](cfg), 1
+        rows, processes, threads = _ANALYTIC[cfg.experiment](cfg), 1, 1
     metadata = {
         "config": cfg.describe(),
         "wall_seconds": round(time.perf_counter() - t0, 3),
         "version": __version__,
         "workers": processes,
+        "threads": threads,
     }
     return ExperimentResult(rows=tuple(rows), metadata=metadata)
 
@@ -268,13 +273,29 @@ def _pool_size(workers, tasks, sample_size):
     return max(1, min(workers, tasks, os.cpu_count() or 1, by_work))
 
 
+# Samples per path from which a run below the fork break-even spreads its
+# replications over threads. numpy's FFTs release the GIL and are about 70%
+# of a T = 10 000 replication (four real FFTs, ~850 of ~1260 us). Measured on
+# 2 CPUs, 15 alternating rounds, threads over serial for table1 and
+# fig_mean_periodogram: x0.94 and x0.62 at T = 1024, x1.05 and x1.08 at 2048,
+# x1.28 and x1.37 at 4096, x1.33 and x1.42 at 8192, x1.73 and x1.68 at
+# 10 000. At T = 4096 the gain did not reach a whole fig_mean_periodogram
+# request with its CSV write (ops/s x0.91-1.03), so the bound is 2**13.
+# Each extra thread adds a malloc arena (~1 MB of peak RSS at T = 10 000),
+# so the calling thread runs a share itself.
+_THREAD_MIN_SAMPLE_SIZE = 2**13
+
+
 def _replicate_cells(cfg, grid, statistic, workers):
     """The statistic of every replication of every cell, as one list per
-    cell in replication order, and the number of processes that ran them.
+    cell in replication order, and the numbers of processes and of threads
+    that ran them.
 
     With more than one process (`_pool_size`), all (cell, replication)
     tasks go through one pool: the fork start method launches every worker
-    up front, so an unused one is pure start-up cost.
+    up front, so an unused one is pure start-up cost. Below that, paths of
+    at least `_THREAD_MIN_SAMPLE_SIZE` samples run on min(workers, tasks,
+    CPUs) threads of this process.
     """
     tasks = [
         (statistic, cfg.master_seed, cell_index, r, params, cfg.sample_size)
@@ -282,14 +303,53 @@ def _replicate_cells(cfg, grid, statistic, workers):
         for r in range(cfg.replications)
     ]
     processes = _pool_size(workers, len(tasks), cfg.sample_size)
-    if processes == 1:
-        results = [_replicate(t) for t in tasks]
-    else:
+    threads = 1
+    if processes == 1 and cfg.sample_size >= _THREAD_MIN_SAMPLE_SIZE:
+        threads = max(1, min(workers, len(tasks), os.cpu_count() or 1))
+    if processes > 1:
         chunk = max(1, len(tasks) // (processes * 8))
         with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_replicate, tasks, chunksize=chunk))
+    elif threads > 1:
+        results = _replicate_threaded(tasks, threads)
+    else:
+        results = [_replicate(t) for t in tasks]
     reps = cfg.replications
-    return [results[i : i + reps] for i in range(0, len(results), reps)], processes
+    return [results[i : i + reps] for i in range(0, len(results), reps)], processes, threads
+
+
+def _replicate_share(tasks):
+    """`_replicate` over `tasks` in order up to the first that raises: the
+    results before it and its exception (None when every task ran)."""
+    results = []
+    try:
+        for task in tasks:
+            results.append(_replicate(task))
+    except Exception as exc:  # re-raised by `_replicate_threaded` if it came first
+        return results, exc
+    return results, None
+
+
+def _replicate_threaded(tasks, threads):
+    """`_replicate` of every task, in task order, on `threads` threads.
+
+    Share k holds tasks k, k + threads, k + 2 threads, ...; the calling
+    thread runs share 0 and a pool of threads - 1 the others, and the pool
+    is joined before this returns. If tasks raise, the exception of the
+    first of them in task order propagates, as in a serial run.
+    """
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        others = pool.map(_replicate_share, [tasks[k::threads] for k in range(1, threads)])
+        shares = [_replicate_share(tasks[::threads]), *others]
+    failures = [
+        (k + threads * len(done), exc) for k, (done, exc) in enumerate(shares) if exc is not None
+    ]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results = [None] * len(tasks)
+    for k, (done, _) in enumerate(shares):
+        results[k::threads] = done
+    return results
 
 
 def _table1_rows(cfg, grid, per_cell):

@@ -194,6 +194,14 @@ class TestFitMatch:
         assert res.exit_code == 0
         assert "zeta=1.17" in res.output
 
+    def test_fit_ar_singular_system(self, runner):
+        # valid input whose Yule-Walker solve fails numerically: exit 1, one line
+        res = runner.invoke(main, ["fit", "--a", "3.1622776601683794e13", "--b", "1.1", "--order", "20"])
+        assert res.exit_code == 1, res.output
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: the AR(20) Yule-Walker system")
+        assert "Usage:" not in res.output and "Traceback" not in res.output
+
     def test_fit_fractional(self, runner):
         res = runner.invoke(main, ["fit", "--a", "0.5", "--b", "1.6", "--model", "fractional"])
         assert res.exit_code == 0
@@ -496,6 +504,23 @@ class TestBadInput:
         assert "overflows" in res.output
         assert "Warning" not in res.output and "Traceback" not in res.output
         assert not out.exists()
+
+    def test_overflowing_sigma_on_threads(self, runner, tmp_path, monkeypatch):
+        # T = 8192 runs on two threads; the overflowing cell is the helper thread's share
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "experiment": "table1", "sample_size": 8192, "replications": 1,
+            "parameter_grid": [{"process": "csa", "a": 0.2, "b": 1.6},
+                               {"process": "csa", "a": 0.2, "b": 1.6, "sigma_eps": 1e308}],
+        }))
+        res = runner.invoke(main, ["experiment", "--config", str(cfg), "--out", str(tmp_path / "s"),
+                                   "--workers", "2"])
+        assert res.exit_code == 2
+        error = [line for line in res.output.splitlines() if line.startswith("Error:")]
+        assert len(error) == 1 and "overflows" in error[0]
+        assert "Traceback" not in res.output
+        assert not (tmp_path / "s.csv").exists()
 
     def test_table3_zeta_is_free_of_sigma(self, runner, tmp_path):
         # zeta is a ratio to sigma_eps^2, so a sigma whose square overflows is fine

@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -238,13 +239,16 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_metadata_workers(self, workers, any_work_forks):
+        # `workers` counts processes; a process pool's run reports one thread
         cfg = ExperimentConfig(experiment="table1", sample_size=64, replications=2, master_seed=3)
-        used = run_experiment(cfg, workers=workers).metadata["workers"]
+        metadata = run_experiment(cfg, workers=workers).metadata
+        used = metadata["workers"]
         assert type(used) is int and used == min(workers, os.cpu_count())
+        assert metadata["threads"] == 1
 
     def test_analytic_metadata_workers_is_one(self):
         res = run_experiment(ExperimentConfig(experiment="fig_ar1_loss"), workers=2)
-        assert res.metadata["workers"] == 1
+        assert res.metadata["workers"] == 1 and res.metadata["threads"] == 1
 
     def test_table1_rerun_bitwise_identical(self):
         cfg = ExperimentConfig(
@@ -315,8 +319,8 @@ def params_from_row(row):
 
 
 class _InProcessPool:
-    """Stands in for ProcessPoolExecutor: records each pool's size and maps
-    in this process, so no worker is ever started."""
+    """Stands in for ProcessPoolExecutor or ThreadPoolExecutor: records each
+    pool's size and maps in this thread, so no worker is ever started."""
 
     def __init__(self, sizes, max_workers):
         sizes.append(max_workers)
@@ -341,9 +345,18 @@ class TestPool:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
         return sizes
 
-    def table1(self, replications, workers):
+    @pytest.fixture()
+    def thread_pool_sizes(self, monkeypatch, pool_sizes):
+        """Thread pools stand in like process pools; no thread is started."""
+        sizes = []
+        monkeypatch.setattr(
+            harness, "ThreadPoolExecutor", lambda max_workers: _InProcessPool(sizes, max_workers)
+        )
+        return sizes
+
+    def table1(self, replications, workers, sample_size=32):
         cfg = ExperimentConfig(
-            experiment="table1", sample_size=32, replications=replications, master_seed=2
+            experiment="table1", sample_size=sample_size, replications=replications, master_seed=2
         )
         return run_experiment(cfg, workers=workers)
 
@@ -372,11 +385,35 @@ class TestPool:
         res = self.table1(replications=10, workers=10**9)
         assert pool_sizes == [8] and res.metadata["workers"] == 8
 
+    def test_thread_pool_size_bounded(self, pool_sizes, thread_pool_sizes):
+        # 8 cells x 10 reps x 8192 samples is under two processes' work; the
+        # CPU count bounds the threads, and the calling thread is one of them
+        before = threading.active_count()
+        res = self.table1(replications=10, workers=10**9, sample_size=2**13)
+        assert threading.active_count() == before
+        assert pool_sizes == [] and thread_pool_sizes == [63]
+        assert res.metadata["workers"] == 1 and res.metadata["threads"] == 64
+
+    @pytest.mark.parametrize(
+        "workers, sample_size",
+        [(1, 2**13), (10**9, 2**13 - 1)],
+        ids=["one_worker", "short_paths"],
+    )
+    def test_no_thread_pool(self, pool_sizes, thread_pool_sizes, workers, sample_size):
+        res = self.table1(replications=2, workers=workers, sample_size=sample_size)
+        assert pool_sizes == [] and thread_pool_sizes == []
+        assert res.metadata["workers"] == 1 and res.metadata["threads"] == 1
+
+    def test_process_pool_builds_no_thread_pool(self, pool_sizes, thread_pool_sizes, any_work_forks):
+        res = self.table1(replications=2, workers=2, sample_size=2**13)
+        assert pool_sizes == [2] and thread_pool_sizes == []
+        assert res.metadata["workers"] == 2 and res.metadata["threads"] == 1
+
     @pytest.mark.parametrize(
         "workers, tasks, sample_size, cpus, expected",
         [
-            (2, 8 * 4, 10_000, 2, 1),  # the table1 benchmark request
-            (2, 4 * 16, 4096, 2, 1),  # the mean-periodogram benchmark request
+            (2, 8 * 4, 10_000, 2, 1),  # the table1 benchmark request: one process, two threads
+            (2, 4 * 16, 4096, 2, 1),  # the mean-periodogram benchmark request: serial (T < 2**13)
             (2, 8 * 1000, 4096, 2, 2),  # desk-scale table1
             (10**9, 8 * 1000, 4096, 64, 62),  # work-bound
             (10**9, 10**6, 10**4, 64, 64),  # CPU-bound
@@ -392,6 +429,72 @@ class TestPool:
     def test_pool_size(self, monkeypatch, workers, tasks, sample_size, cpus, expected):
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         assert harness._pool_size(workers, tasks, sample_size) == expected
+
+
+class TestThreads:
+    """Replications on threads of one process, below the fork break-even."""
+
+    @pytest.fixture()
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+
+    @pytest.mark.parametrize("sample_size", [2**13, 10_000])
+    @pytest.mark.parametrize("experiment", ["table1", "fig_mean_periodogram"])
+    def test_rows_equal_across_schedules(self, two_cpus, monkeypatch, experiment, sample_size):
+        cfg = ExperimentConfig(
+            experiment=experiment, sample_size=sample_size, replications=2, master_seed=23
+        )
+        serial = run_experiment(cfg, workers=1)
+        threaded = run_experiment(cfg, workers=2)
+        monkeypatch.setattr(harness, "_SAMPLES_PER_PROCESS", 1)  # force the process pool
+        pooled = run_experiment(cfg, workers=2)
+        assert threaded.metadata["workers"] == 1 and threaded.metadata["threads"] == 2
+        assert pooled.metadata["workers"] == 2 and pooled.metadata["threads"] == 1
+        assert serial.rows == threaded.rows == pooled.rows
+
+    def test_no_thread_outlives_a_run(self, two_cpus):
+        before = threading.active_count()
+        cfg = ExperimentConfig(experiment="table1", sample_size=2**13, replications=2, master_seed=4)
+        assert run_experiment(cfg, workers=2).metadata["threads"] == 2
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "grid, replications",
+        [
+            ((CsaParams(0.2, 1.6, sigma_eps=1e308),), 2),  # every share fails
+            ((CsaParams(0.2, 1.6), CsaParams(0.2, 1.6, sigma_eps=1e308)), 1),  # only the helper's
+        ],
+        ids=["calling_thread", "helper_thread"],
+    )
+    def test_overflow_is_the_serial_error(self, two_cpus, grid, replications):
+        cfg = ExperimentConfig(
+            experiment="table1", sample_size=2**13, replications=replications, parameter_grid=grid
+        )
+        errors = []
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="overflows") as info:
+                run_experiment(cfg, workers=workers)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] and "\n" not in errors[0]
+
+    @pytest.mark.parametrize(
+        "failing, first", [({3, 5, 8}, 3), ({4, 7}, 4), ({9}, 9)]
+    )
+    def test_first_failure_in_task_order_propagates(self, monkeypatch, failing, first):
+        # share 0 holds tasks 0, 2, 4, ... and share 1 tasks 1, 3, 5, ...
+        def replicate(task):
+            if task in failing:
+                raise ValueError(f"task {task}")
+            return task
+
+        monkeypatch.setattr(harness, "_replicate", replicate)
+        with pytest.raises(ValueError, match=f"^task {first}$"):
+            harness._replicate_threaded(list(range(10)), 2)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_results_in_task_order(self, monkeypatch, threads):
+        monkeypatch.setattr(harness, "_replicate", lambda task: -task)
+        assert harness._replicate_threaded(list(range(10)), threads) == [-t for t in range(10)]
 
 
 class _Unprintable:
