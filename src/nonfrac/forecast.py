@@ -7,10 +7,11 @@ inverse of phi(z). g comes from Newton iteration on power series
 series"), which doubles the number of correct coefficients with each
 pair of FFT convolutions; forecasts are one more convolution of the
 innovations with the weights extended to the horizon. Every step is
-O(T log T) time and O(T) memory. The spectra of g and of the extended
-weights depend only on (a, b, T) and (a, b, T+h), so the last few of each
-are cached: a repeated forecast at one fitted (a, b) skips the Newton
-iteration and makes four real FFTs, those of x, nu and the two products.
+O(T log T) time and O(T) memory. The inverse coefficients depend only on
+(a, b, T), so the last few are kept read-only; with the shared weights of
+`model`, both spectra come from `spectral`'s cache, and a repeated forecast
+at one fitted (a, b) skips the Newton iteration and makes four real FFTs,
+those of x, nu and the two products.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.linalg import solve_triangular, toeplitz
 
 from .model import CsaParams, csa_ma_coeffs
-from .spectral import _fft_length, circular_convolve
+from .spectral import circular_convolve
 
 __all__ = ["ForecastResult", "recover_innovations", "forecast_csa"]
 
@@ -28,9 +29,9 @@ __all__ = ["ForecastResult", "recover_innovations", "forecast_csa"]
 # below this a doubling's fixed cost exceeds the O(k^2) triangular solve.
 _DENSE_TERMS = 128
 
-# Spectra kept by each of `_inverse_spectrum` and `_weight_spectrum`: at most
-# this many read-only complex arrays of 8(n+2) bytes, n = _fft_length(length).
-_SPECTRUM_CACHE_SIZE = 4
+# Inverse coefficient series kept by `_inverse_coefficients`: at most this
+# many read-only arrays of 8t bytes.
+_INVERSE_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -64,24 +65,13 @@ def _inverse_series(phi):
     return g
 
 
-def _read_only_spectrum(seq):
-    """rfft of seq zero-padded to `_fft_length(seq.size)`, read-only."""
-    spectrum = np.fft.rfft(seq, _fft_length(seq.size))
-    spectrum.flags.writeable = False
-    return spectrum
-
-
-# Neither spectrum depends on sigma_eps, so it is not part of either key.
-@lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
-def _inverse_spectrum(a, b, t):
-    """Spectrum of the first t coefficients of 1 / phi(z) for CSA(a, b)."""
-    return _read_only_spectrum(_inverse_series(csa_ma_coeffs(CsaParams(a, b), t)))
-
-
-@lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
-def _weight_spectrum(a, b, t):
-    """Spectrum of the first t MA weights of CSA(a, b)."""
-    return _read_only_spectrum(csa_ma_coeffs(CsaParams(a, b), t))
+# sigma_eps does not change the inverse, so it is not part of the key.
+@lru_cache(maxsize=_INVERSE_CACHE_SIZE)
+def _inverse_coefficients(a, b, t):
+    """First t coefficients of 1 / phi(z) for CSA(a, b), read-only."""
+    g = _inverse_series(csa_ma_coeffs(CsaParams(a, b), t))
+    g.flags.writeable = False
+    return g
 
 
 def recover_innovations(x, p):
@@ -89,15 +79,17 @@ def recover_innovations(x, p):
 
     This is the unit-lower-triangular Toeplitz system x = Phi nu. Its
     solution is the convolution of x with the power-series inverse of the
-    MA weights, computed by Newton iteration in O(T log T).
+    MA weights, computed by Newton iteration in O(T log T). An I(d) law is
+    a ValueError.
     """
+    if not isinstance(p, CsaParams):
+        raise ValueError(f"forecasting needs a csa law, got {p!r}")
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("x must be a nonempty 1-d sequence")
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
-    n = _fft_length(x.size)
-    return np.fft.irfft(_inverse_spectrum(p.a, p.b, x.size) * np.fft.rfft(x, n), n)[: x.size]
+    return circular_convolve(_inverse_coefficients(p.a, p.b, x.size), x)
 
 
 def forecast_csa(x, p, h):
@@ -115,8 +107,7 @@ def forecast_csa(x, p, h):
     if h > T:
         raise ValueError(f"horizon {h} exceeds sample size {T}")
     nu = recover_innovations(x, p)
-    n = _fft_length(T + h)
-    y = np.fft.irfft(np.fft.rfft(nu, n) * _weight_spectrum(p.a, p.b, T + h), n)[: T + h]
+    y = circular_convolve(np.concatenate([nu, np.zeros(h)]), csa_ma_coeffs(p, T + h))
     return ForecastResult(
         horizon=h,
         point_forecasts=y[T:],

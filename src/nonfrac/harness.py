@@ -258,10 +258,14 @@ def _replicate(task):
 
 
 # Samples (replications x T) of work per worker process. Measured on 2
-# CPUs: a replication costs ~95-120 ns per sample, a 2-process pool adds
-# ~25-40 ms to a run, and two processes overtake one near 5.5e5 samples.
+# CPUs, alternating rounds of table1 at T = 4096: a replication costs ~80-115
+# ns per sample, a 2-process pool adds ~25-40 ms to a run, and two processes
+# overtake one near 5.9e5 samples (x0.64-0.96 at 5.2e5, x1.10-1.20 at 5.9e5).
 # The bound sits at that break-even, so two processes start at twice it,
-# 1.05e6 samples, where they ran 10-30% faster; smaller runs stay serial.
+# 1.05e6 samples, where they ran x1.49 as fast; smaller runs stay in one
+# process.
+# Against threads (T >= _THREAD_MIN_SAMPLE_SIZE) two processes still lose at
+# 1.04e6 samples (x0.83 at T = 10 000) and draw level near 2.1e6 (x1.07).
 _SAMPLES_PER_PROCESS = 2**19
 
 
@@ -274,15 +278,15 @@ def _pool_size(workers, tasks, sample_size):
 
 
 # Samples per path from which a run below the fork break-even spreads its
-# replications over threads. numpy's FFTs release the GIL and are about 70%
-# of a T = 10 000 replication (four real FFTs, ~850 of ~1260 us). Measured on
-# 2 CPUs, 15 alternating rounds, threads over serial for table1 and
-# fig_mean_periodogram: x0.94 and x0.62 at T = 1024, x1.05 and x1.08 at 2048,
-# x1.28 and x1.37 at 4096, x1.33 and x1.42 at 8192, x1.73 and x1.68 at
-# 10 000. At T = 4096 the gain did not reach a whole fig_mean_periodogram
-# request with its CSV write (ops/s x0.91-1.03), so the bound is 2**13.
-# Each extra thread adds a malloc arena (~1 MB of peak RSS at T = 10 000),
-# so the calling thread runs a share itself.
+# replications over threads. numpy's FFTs release the GIL and are about 60%
+# of a T = 10 000 replication (two 2T-point FFTs and one T-point FFT, ~560 of
+# ~750-1200 us). Measured on 2 CPUs, 15 alternating rounds, threads over
+# serial for table1 and fig_mean_periodogram: x1.00 and x0.71 at T = 1024,
+# x0.90 and x0.92 at 2048, x1.13 and x1.36 at 4096, x1.28 and x1.36 at 8192,
+# x1.49 and x1.33 at 10 000. At T = 4096 the gain did not reach a whole
+# fig_mean_periodogram request with its CSV write (ops/s x0.91-1.03), so the
+# bound is 2**13. Each extra thread adds a malloc arena (~1 MB of peak RSS at
+# T = 10 000), so the calling thread runs a share itself.
 _THREAD_MIN_SAMPLE_SIZE = 2**13
 
 

@@ -7,11 +7,17 @@ coefficients are Beta(a, b) draws; implied memory d = 1 - b/2.
 Beta ratios are one-step product recursions over integer shifts, and the
 one half-integer shift, rho_1, is a ratio of two `_gamma_half_ratio` values,
 so the autocorrelations stay accurate and finite for lags up to 1e6.
+
+The MA weights of the last few (law shape, T) are kept: both weight
+functions return one read-only array shared by every caller, so a Monte
+Carlo cell makes its weights once and `spectral.circular_convolve` can keep
+their spectrum.
 """
 
 import math
 import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -136,28 +142,51 @@ def params_from_dict(entry):
     raise ValueError(f"unknown process {process!r}")
 
 
+# Laws whose weights `_shared_weights` keeps: the eight cells of table1's
+# grid, so a Monte Carlo request makes each law's weights once.
+_WEIGHT_MEMO_SIZE = 8
+
+
+@lru_cache(maxsize=_WEIGHT_MEMO_SIZE)
+def _shared_weights(weights, shape, T):
+    """`weights(*shape, T)`, read-only and shared by every caller asking for
+    the same law shape and T. sigma_eps is not in the key: the weights do
+    not depend on it."""
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    w = weights(*shape, T)
+    w.flags.writeable = False
+    return w
+
+
+def _frac_weights(d, T):
+    w = np.empty(T)
+    w[0] = 1.0
+    if T > 1:
+        j = np.arange(1.0, T)
+        np.cumprod((j - 1.0 + d) / j, out=w[1:])
+    return w
+
+
+def _csa_weights(a, b, T):
+    return np.sqrt(beta_ratio_sequence(a, b, T - 1))
+
+
 def frac_ma_coeffs(p, T):
     """First T MA weights pi_j of (1-L)^{-d}: pi_0 = 1,
     pi_j = pi_{j-1} (j-1+d)/j.
 
     Tail behaves like j^{d-1}; all weights negative for j >= 1 when d < 0.
+    The array is read-only and shared (`_shared_weights`).
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    w = np.empty(T)
-    w[0] = 1.0
-    if T > 1:
-        j = np.arange(1.0, T)
-        np.cumprod((j - 1.0 + p.d) / j, out=w[1:])
-    return w
+    return _shared_weights(_frac_weights, (p.d,), T)
 
 
 def csa_ma_coeffs(p, T):
     """First T MA weights phi_j = sqrt(B(a+j, b) / B(a, b)): positive,
-    decreasing, tail ~ j^{-b/2}."""
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    return np.sqrt(beta_ratio_sequence(p.a, p.b, T - 1))
+    decreasing, tail ~ j^{-b/2}. The array is read-only and shared
+    (`_shared_weights`)."""
+    return _shared_weights(_csa_weights, (p.a, p.b), T)
 
 
 def acf_frac_lags(p, kmax):

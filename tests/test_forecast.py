@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular, toeplitz
 
-from nonfrac import forecast
+from nonfrac import forecast, model, spectral
 from nonfrac.forecast import forecast_csa, recover_innovations
-from nonfrac.model import CsaParams, csa_ma_coeffs
+from nonfrac.model import CsaParams, FracParams, csa_ma_coeffs
 from nonfrac.simulate import generate_csa_fast
 from nonfrac.spectral import _fft_length, circular_convolve
 
@@ -17,18 +17,25 @@ CSA = CsaParams(0.3, 1.5)
 ORACLE_PARAMS = [(0.05, 1.02), (0.3, 1.5), (2.0, 3.9), (10.0, 8.0)]
 ORACLE_T = [1, 2, 127, 128, 129, 257, 1000]
 
-
-SPECTRUM_CACHES = (forecast._inverse_spectrum, forecast._weight_spectrum)
-
-
-def _clear_spectra():
-    for cache in SPECTRUM_CACHES:
-        cache.cache_clear()
+# the memos a forecast goes through: the inverse series, the shared weights
+MEMOS = (forecast._inverse_coefficients, model._shared_weights)
 
 
-def _cache_counts(cache):
-    info = cache.cache_info()
+def _clear_caches():
+    for memo in MEMOS:
+        memo.cache_clear()
+    spectral._spectra.clear()
+
+
+def _cache_counts(memo):
+    info = memo.cache_info()
     return info.hits, info.misses, info.currsize
+
+
+def _cached_spectrum(seq):
+    """The spectrum `spectral` keeps for the operand `seq`, or None."""
+    ref, spectrum = spectral._spectra.get(id(seq), (None, None))
+    return spectrum if ref is not None and ref() is seq else None
 
 
 def _brute_force_forecasts(phi, nu, h):
@@ -78,12 +85,19 @@ class TestRecoverInnovations:
     def test_non_finite_rejected(self, bad):
         x = generate_csa_fast(CSA, 64, seed=3).values
         x[10] = bad
-        _clear_spectra()
+        _clear_caches()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="x must be finite"):
                 forecast_csa(x, CSA, 5)
-        assert [c.cache_info().currsize for c in SPECTRUM_CACHES] == [0, 0]
+        assert [m.cache_info().currsize for m in MEMOS] == [0, 0]
+        assert not spectral._spectra
+
+    @pytest.mark.parametrize("call", [recover_innovations, lambda x, p: forecast_csa(x, p, 5)])
+    def test_frac_law_rejected(self, call):
+        x = generate_csa_fast(CSA, 64, seed=3).values
+        with pytest.raises(ValueError, match=r"needs a csa law, got FracParams\(d=0\.2\)"):
+            call(x, FracParams(0.2))
 
 
 class TestForecastCsa:
@@ -160,8 +174,8 @@ def _forecast_bytes(x, p, h):
 
 
 class TestInverseWeightCache:
-    """The spectra of the inverse weights, keyed by (a, b, T), and of the
-    weights extended to the horizon, keyed by (a, b, T+h)."""
+    """The inverse series, keyed by (a, b, T); the shared weights, keyed by
+    (a, b, T) and (a, b, T+h); and the spectra `spectral` keeps for both."""
 
     @pytest.mark.parametrize(
         "a, b, T",
@@ -171,56 +185,70 @@ class TestInverseWeightCache:
         p = CsaParams(a, b)
         x = generate_csa_fast(p, T, seed=T).values
         h = min(T, 20)
-        _clear_spectra()
+        _clear_caches()
         cold = _forecast_bytes(x, p, h)
-        assert [_cache_counts(c) for c in SPECTRUM_CACHES] == [(0, 1, 1)] * 2
+        # weights at T (for the inverse) and at T + h; the inverse and the
+        # extended weights, not x or the innovations, keep a spectrum
+        assert [_cache_counts(m) for m in MEMOS] == [(0, 1, 1), (0, 2, 2)]
+        assert len(spectral._spectra) == 2
         warm = _forecast_bytes(x, p, h)
-        assert [_cache_counts(c) for c in SPECTRUM_CACHES] == [(1, 1, 1)] * 2
+        assert [_cache_counts(m) for m in MEMOS] == [(1, 1, 1), (1, 2, 2)]
         assert warm == cold
-        # the cached spectra are those of a fresh inversion and fresh weights
-        n = _fft_length(T)
-        fresh = np.fft.rfft(forecast._inverse_series(csa_ma_coeffs(p, T)), n)
-        assert forecast._inverse_spectrum(a, b, T).tobytes() == fresh.tobytes()
-        n = _fft_length(T + h)
-        fresh = np.fft.rfft(csa_ma_coeffs(p, T + h), n)
-        assert forecast._weight_spectrum(a, b, T + h).tobytes() == fresh.tobytes()
+        # the cached series and spectra are those of a fresh inversion and
+        # fresh weights
+        g = forecast._inverse_coefficients(a, b, T)
+        fresh = forecast._inverse_series(np.array(csa_ma_coeffs(p, T)))
+        assert g.tobytes() == fresh.tobytes()
+        assert _cached_spectrum(g).tobytes() == np.fft.rfft(fresh, _fft_length(T)).tobytes()
+        phi = csa_ma_coeffs(p, T + h)
+        fresh = model._csa_weights(a, b, T + h)
+        assert phi.tobytes() == fresh.tobytes()
+        assert _cached_spectrum(phi).tobytes() == np.fft.rfft(fresh, _fft_length(T + h)).tobytes()
 
     def test_parameters_do_not_share_an_entry(self):
-        _clear_spectra()
         x = generate_csa_fast(CSA, 300, seed=1).values
+        _clear_caches()
         forecast_csa(x, CsaParams(0.3, 1.5), 5)
         forecast_csa(x, CsaParams(0.3, 1.6), 5)
         forecast_csa(x, CsaParams(0.4, 1.5), 5)
-        assert [_cache_counts(c) for c in SPECTRUM_CACHES] == [(0, 3, 3)] * 2
+        assert [_cache_counts(m) for m in MEMOS] == [(0, 3, 3), (0, 6, 6)]
 
     def test_sigma_shares_an_entry(self):
-        _clear_spectra()
         x = generate_csa_fast(CSA, 300, seed=1).values
+        _clear_caches()
         one = forecast_csa(x, CsaParams(0.3, 1.5, sigma_eps=1.0), 5)
         two = forecast_csa(x, CsaParams(0.3, 1.5, sigma_eps=2.5), 5)
-        assert [_cache_counts(c) for c in SPECTRUM_CACHES] == [(1, 1, 1)] * 2
+        assert [_cache_counts(m) for m in MEMOS] == [(1, 1, 1), (1, 2, 2)]
         assert one.point_forecasts.tobytes() == two.point_forecasts.tobytes()
 
     def test_cached_weights_are_read_only(self):
-        for cache in SPECTRUM_CACHES:
-            spectrum = cache(0.3, 1.5, 64)
-            assert not spectrum.flags.writeable
+        x = generate_csa_fast(CSA, 64, seed=1).values
+        _clear_caches()
+        forecast_csa(x, CSA, 3)
+        cached = [forecast._inverse_coefficients(0.3, 1.5, 64), csa_ma_coeffs(CSA, 67)]
+        cached += [spectrum for _, spectrum in spectral._spectra.values()]
+        assert len(cached) == 4
+        for array in cached:
+            assert not array.flags.writeable
             with pytest.raises(ValueError):
-                spectrum[0] = 2.0
+                array[0] = 2.0
 
     def test_size_is_bounded(self):
-        _clear_spectra()
         x = generate_csa_fast(CSA, 200, seed=4).values
-        for cache in SPECTRUM_CACHES:
-            assert cache.cache_info().maxsize == forecast._SPECTRUM_CACHE_SIZE
-        for k in range(forecast._SPECTRUM_CACHE_SIZE + 3):
+        _clear_caches()
+        sizes = (forecast._INVERSE_CACHE_SIZE, model._WEIGHT_MEMO_SIZE)
+        assert [m.cache_info().maxsize for m in MEMOS] == list(sizes)
+        for k in range(spectral._SPECTRUM_CACHE_SIZE + 3):
             forecast_csa(x, CsaParams(0.3 + 0.1 * k, 1.5), 3)
-            assert all(c.cache_info().currsize <= forecast._SPECTRUM_CACHE_SIZE for c in SPECTRUM_CACHES)
-        assert [c.cache_info().currsize for c in SPECTRUM_CACHES] == [forecast._SPECTRUM_CACHE_SIZE] * 2
+            assert [m.cache_info().currsize <= size for m, size in zip(MEMOS, sizes)] == [True, True]
+            assert len(spectral._spectra) <= spectral._SPECTRUM_CACHE_SIZE
+        assert [m.cache_info().currsize for m in MEMOS] == list(sizes)
+        assert len(spectral._spectra) == spectral._SPECTRUM_CACHE_SIZE
 
     def test_warm_call_makes_four_ffts_and_no_weights(self, monkeypatch):
         x = generate_csa_fast(CSA, 1000, seed=6).values
         forecast_csa(x, CSA, 20)
+        made = model._shared_weights.cache_info().misses
         calls = []
 
         def counted(name, fn):
@@ -232,37 +260,39 @@ class TestInverseWeightCache:
 
         monkeypatch.setattr(np.fft, "rfft", counted("rfft", np.fft.rfft))
         monkeypatch.setattr(np.fft, "irfft", counted("irfft", np.fft.irfft))
-        monkeypatch.setattr(forecast, "csa_ma_coeffs", counted("weights", csa_ma_coeffs))
+        monkeypatch.setattr(forecast, "_inverse_series", counted("newton", forecast._inverse_series))
         forecast_csa(x, CSA, 20)
         assert sorted(calls) == ["irfft", "irfft", "rfft", "rfft"]
+        assert model._shared_weights.cache_info().misses == made
 
     def test_entries_are_shared_by_length(self):
-        _clear_spectra()
         x = generate_csa_fast(CSA, 300, seed=1).values
+        _clear_caches()
         # equal T + h share the weights entry
         forecast_csa(x, CSA, 10)
         forecast_csa(x[:290], CSA, 20)
-        assert _cache_counts(forecast._weight_spectrum) == (1, 1, 1)
-        assert _cache_counts(forecast._inverse_spectrum) == (0, 2, 2)
+        assert _cache_counts(forecast._inverse_coefficients) == (0, 2, 2)
+        assert _cache_counts(model._shared_weights) == (1, 3, 3)  # 300, 310; 290, 310
         # different h at one T share only the inverse entry
-        _clear_spectra()
+        _clear_caches()
         forecast_csa(x, CSA, 5)
         forecast_csa(x, CSA, 7)
-        assert _cache_counts(forecast._inverse_spectrum) == (1, 1, 1)
-        assert _cache_counts(forecast._weight_spectrum) == (0, 2, 2)
+        assert _cache_counts(forecast._inverse_coefficients) == (1, 1, 1)
+        assert _cache_counts(model._shared_weights) == (0, 3, 3)  # 300, 305, 307
 
     @pytest.mark.parametrize("a, b", ORACLE_PARAMS + [(0.2, 1.6), (10.0, 1.02)])
     def test_matches_convolution_formula_bit_for_bit(self, a, b):
-        # the two-convolution form the cached spectra replace:
+        # the two-convolution form, on writeable copies that no cache keeps:
         # nu = g * x, then y = [nu, 0_h] * phi_{T+h}
         p = CsaParams(a, b)
         for T in [1, 2, 127, 128, 129, 257, 1000, 10_000]:
             x = generate_csa_fast(p, T, seed=T).values
-            g = forecast._inverse_series(csa_ma_coeffs(p, T))
+            g = forecast._inverse_series(np.array(csa_ma_coeffs(p, T)))
             nu = circular_convolve(g, x)
             for h in sorted({1, min(20, T), T}):
-                y = circular_convolve(np.concatenate([nu, np.zeros(h)]), csa_ma_coeffs(p, T + h))
+                phi = np.array(csa_ma_coeffs(p, T + h))
+                y = circular_convolve(np.concatenate([nu, np.zeros(h)]), phi)
                 expected = y[T:].tobytes(), nu.tobytes(), float(np.max(np.abs(y[:T] - x)))
-                _clear_spectra()
+                _clear_caches()
                 assert _forecast_bytes(x, p, h) == expected, (T, h)  # cold
                 assert _forecast_bytes(x, p, h) == expected, (T, h)  # warm

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nonfrac import harness
+from nonfrac import harness, model, spectral
 from nonfrac.harness import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -495,6 +495,46 @@ class TestThreads:
     def test_results_in_task_order(self, monkeypatch, threads):
         monkeypatch.setattr(harness, "_replicate", lambda task: -task)
         assert harness._replicate_threaded(list(range(10)), threads) == [-t for t in range(10)]
+
+
+class TestWeightMemo:
+    """Replications share each law's weights and their spectrum; rows do not
+    depend on whether the memo starts empty or warm."""
+
+    @staticmethod
+    def _clear():
+        model._shared_weights.cache_clear()
+        spectral._spectra.clear()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("experiment", ["table1", "fig_mean_periodogram"])
+    def test_rows_equal_cleared_and_warm(self, monkeypatch, experiment, workers):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        cfg = ExperimentConfig(experiment=experiment, sample_size=2**13, replications=2, master_seed=31)
+        self._clear()
+        cleared = run_experiment(cfg, workers=workers)
+        made = model._shared_weights.cache_info().misses
+        warm = run_experiment(cfg, workers=workers)
+        assert cleared.metadata["threads"] == warm.metadata["threads"] == workers
+        assert cleared.rows == warm.rows
+        # the first run made each law's weights, once when serial (two threads
+        # can both miss on one law); the warm run made none
+        cells = len(harness._MONTE_CARLO[experiment][0](cfg))
+        assert made == cells if workers == 1 else cells <= made <= 2 * cells
+        assert model._shared_weights.cache_info().misses == made
+
+    def test_memory_bounded_over_a_20_law_grid(self):
+        grid = tuple(CsaParams(0.2, 1.1 + 0.1 * k) for k in range(10)) + tuple(
+            FracParams(-0.45 + 0.1 * k) for k in range(10)
+        )
+        cfg = ExperimentConfig(experiment="table1", sample_size=256, replications=3, parameter_grid=grid)
+        self._clear()
+        run_experiment(cfg, workers=1)
+        info = model._shared_weights.cache_info()
+        assert info.misses == 20 and info.currsize == model._WEIGHT_MEMO_SIZE
+        assert len(spectral._spectra) == spectral._SPECTRUM_CACHE_SIZE
+        spectrum_bytes = 8 * (spectral._fft_length(256) + 2)
+        assert sum(s.nbytes for _, s in spectral._spectra.values()) == spectral._SPECTRUM_CACHE_SIZE * spectrum_bytes
 
 
 class _Unprintable:

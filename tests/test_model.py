@@ -146,6 +146,35 @@ class TestFracMaCoeffs:
             assert w[j] == pytest.approx(expected, rel=1e-10)
 
 
+class TestSharedWeights:
+    """Both weight functions return one read-only array per law shape and T."""
+
+    @pytest.mark.parametrize(
+        "weights, p, same_shape",
+        [
+            (csa_ma_coeffs, CsaParams(0.2, 1.6, sigma_eps=2.5), CsaParams(0.2, 1.6)),
+            (frac_ma_coeffs, FracParams(0.3), FracParams(0.3)),
+        ],
+    )
+    def test_one_array_per_shape_and_length(self, weights, p, same_shape):
+        w = weights(p, 100)
+        assert w is weights(same_shape, 100)
+        assert w is not weights(p, 101)
+        with pytest.raises(ValueError):
+            w[0] = 2.0
+        assert w[0] == 1.0
+
+    def test_laws_do_not_share_an_array(self):
+        assert csa_ma_coeffs(CsaParams(0.2, 1.6), 50) is not csa_ma_coeffs(CsaParams(0.2, 1.7), 50)
+        assert frac_ma_coeffs(FracParams(0.2), 50) is not frac_ma_coeffs(FracParams(0.25), 50)
+
+    @pytest.mark.parametrize("weights, p", [(csa_ma_coeffs, CsaParams(0.2, 1.6)), (frac_ma_coeffs, FracParams(0.3))])
+    @pytest.mark.parametrize("T", [0, -3])
+    def test_length_below_one_rejected(self, weights, p, T):
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            weights(p, T)
+
+
 class TestCsaMaCoeffs:
     def test_leading_weight(self):
         w = csa_ma_coeffs(CsaParams(0.7, 1.9), 3)

@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nonfrac import spectral
 from nonfrac.spectral import circular_convolve
 
 
@@ -118,3 +122,111 @@ class TestCircularConvolve:
         got = circular_convolve(x, y)
         assert got.shape == (t,)
         assert np.max(np.abs(got - direct)) < 1e-10 * np.max(np.abs(direct))
+
+
+def _read_only(seq):
+    seq = np.array(seq, dtype=float)
+    seq.flags.writeable = False
+    return seq
+
+
+def _cached(seq):
+    ref, _ = spectral._spectra.get(id(seq), (None, None))
+    return ref is not None and ref() is seq
+
+
+class TestSpectrumCache:
+    """The spectrum of a read-only operand that owns its data is kept by
+    identity while the operand lives; no other operand's is."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        spectral._spectra.clear()
+
+    @pytest.mark.parametrize("t", [1, 7, 128, 10_000])
+    def test_same_bytes_cold_warm_and_copied(self, t):
+        rng = np.random.default_rng(t)
+        x = rng.standard_normal(t)
+        y = _read_only(rng.standard_normal(t))
+        for first in (True, False):  # the kept operand on either side of the product
+            call = (lambda z: circular_convolve(z, x)) if first else (lambda z: circular_convolve(x, z))
+            cold = call(y).tobytes()
+            assert _cached(y)
+            assert call(y).tobytes() == cold
+            assert call(y.copy()).tobytes() == cold
+        assert len(spectral._spectra) == 1
+
+    def test_writeable_operands_and_views_are_never_kept(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(64)
+        base = _read_only(rng.standard_normal(128))
+        views = [base[:64], base[::2], np.frombuffer(base.tobytes(), count=64)]
+        assert not any(v.flags.writeable or v.flags.owndata for v in views)
+        for y in [rng.standard_normal(64), list(rng.standard_normal(64)), *views]:
+            circular_convolve(x, y)
+            circular_convolve(y, x)
+        assert not spectral._spectra
+
+    def test_a_dead_operand_is_not_recognised(self):
+        x = np.random.default_rng(4).standard_normal(32)
+        for seed in range(20):  # a new operand often takes the dead one's id
+            y = _read_only(np.random.default_rng(seed).standard_normal(32))
+            assert circular_convolve(x, y).tobytes() == circular_convolve(x, y.copy()).tobytes()
+            del y
+
+    def test_size_is_bounded(self):
+        x = np.ones(16)
+        operands = [_read_only(np.full(16, k)) for k in range(spectral._SPECTRUM_CACHE_SIZE + 3)]
+        for y in operands:
+            circular_convolve(x, y)
+            assert len(spectral._spectra) <= spectral._SPECTRUM_CACHE_SIZE
+        # the least recently used go first
+        assert [_cached(y) for y in operands] == [False] * 3 + [True] * spectral._SPECTRUM_CACHE_SIZE
+
+    def test_two_threads_with_one_fresh_operand_agree(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(10_000)
+        y = _read_only(rng.standard_normal(10_000))
+        expected = circular_convolve(x, y.copy()).tobytes()
+        start = threading.Barrier(2)
+        out = [None, None]
+
+        def convolve(k):
+            start.wait()
+            out[k] = circular_convolve(x, y).tobytes()
+
+        helper = threading.Thread(target=convolve, args=(1,))
+        helper.start()
+        convolve(0)
+        helper.join()
+        assert out == [expected, expected]
+        assert _cached(y)
+
+    def test_stress_more_threads_than_cores(self):
+        # more operands than the cache keeps, so entries are evicted and made
+        # again while other threads read them
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal(256)
+        operands = [_read_only(rng.standard_normal(256)) for _ in range(spectral._SPECTRUM_CACHE_SIZE + 4)]
+        expected = [circular_convolve(x, y.copy()).tobytes() for y in operands]
+        wrong = []
+
+        def work(k):
+            for i in range(60):
+                j = (i * 5 + k) % len(operands)
+                if circular_convolve(x, operands[j]).tobytes() != expected[j]:
+                    wrong.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert len(spectral._spectra) <= spectral._SPECTRUM_CACHE_SIZE
