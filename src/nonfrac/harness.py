@@ -264,29 +264,41 @@ def _replicate(task):
 # The bound sits at that break-even, so two processes start at twice it,
 # 1.05e6 samples, where they ran x1.49 as fast; smaller runs stay in one
 # process.
-# Against threads (T >= _THREAD_MIN_SAMPLE_SIZE) two processes still lose at
-# 1.04e6 samples (x0.83 at T = 10 000) and draw level near 2.1e6 (x1.07).
 _SAMPLES_PER_PROCESS = 2**19
+
+# The same for paths of at least _THREAD_MIN_SAMPLE_SIZE samples, whose
+# alternative below the fork is two threads, not one. Measured on 2 CPUs,
+# 9-15 alternating in-process rounds of table1 at T = 10 000 in three
+# batches, two processes over two threads: x0.74 at 6.4e5 samples, x0.82 at
+# 9.6e5, x0.90 at 1.3e6 and 1.6e6, x0.89-0.98 at 1.9e6-2.2e6, x0.90-1.16 at
+# 2.6e6-3.8e6, x0.99-1.04 at 5.1e6-7.7e6 and x1.06-1.08 at 1e7-2e7. Two
+# processes start at 5.2e6 samples, above that break-even.
+_SAMPLES_PER_PROCESS_OVER_THREADS = 5 * 2**19
 
 
 def _pool_size(workers, tasks, sample_size):
     """Processes for `tasks` replications of `sample_size` samples each:
     at most `workers`, the task count, the CPU count and one per
-    `_SAMPLES_PER_PROCESS` samples of work, and at least one."""
-    by_work = tasks * sample_size // _SAMPLES_PER_PROCESS
+    `_SAMPLES_PER_PROCESS` samples of work (`_SAMPLES_PER_PROCESS_OVER_THREADS`
+    for paths long enough to run on threads), and at least one."""
+    per_process = (
+        _SAMPLES_PER_PROCESS if sample_size < _THREAD_MIN_SAMPLE_SIZE else _SAMPLES_PER_PROCESS_OVER_THREADS
+    )
+    by_work = tasks * sample_size // per_process
     return max(1, min(workers, tasks, os.cpu_count() or 1, by_work))
 
 
 # Samples per path from which a run below the fork break-even spreads its
-# replications over threads. numpy's FFTs release the GIL and are about 60%
-# of a T = 10 000 replication (two 2T-point FFTs and one T-point FFT, ~560 of
-# ~750-1200 us). Measured on 2 CPUs, 15 alternating rounds, threads over
-# serial for table1 and fig_mean_periodogram: x1.00 and x0.71 at T = 1024,
-# x0.90 and x0.92 at 2048, x1.13 and x1.36 at 4096, x1.28 and x1.36 at 8192,
-# x1.49 and x1.33 at 10 000. At T = 4096 the gain did not reach a whole
-# fig_mean_periodogram request with its CSV write (ops/s x0.91-1.03), so the
-# bound is 2**13. Each extra thread adds a malloc arena (~1 MB of peak RSS at
-# T = 10 000), so the calling thread runs a share itself.
+# replications over threads. numpy's FFTs release the GIL and are most of a
+# T = 10 000 replication (the draw and three FFTs, two of 2T points and one
+# of T, take ~560 of ~650-700 us serially). Measured on 2 CPUs, 15
+# alternating rounds, threads over serial for table1 and
+# fig_mean_periodogram: x1.00 and x0.71 at T = 1024, x0.90 and x0.92 at
+# 2048, x1.13 and x1.36 at 4096, x1.28 and x1.36 at 8192, x1.49 and x1.33
+# at 10 000. At T = 4096 the gain did not reach a whole fig_mean_periodogram
+# request with its CSV write (ops/s x0.91-1.03), so the bound is 2**13. Each
+# extra thread adds a malloc arena (~1 MB of peak RSS at T = 10 000), so the
+# calling thread runs a share itself.
 _THREAD_MIN_SAMPLE_SIZE = 2**13
 
 

@@ -16,6 +16,7 @@ their spectrum.
 
 import math
 import numbers
+import threading
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import lru_cache
 
@@ -145,6 +146,7 @@ def params_from_dict(entry):
 # Laws whose weights `_shared_weights` keeps: the eight cells of table1's
 # grid, so a Monte Carlo request makes each law's weights once.
 _WEIGHT_MEMO_SIZE = 8
+_weights_lock = threading.Lock()
 
 
 @lru_cache(maxsize=_WEIGHT_MEMO_SIZE)
@@ -157,6 +159,13 @@ def _shared_weights(weights, shape, T):
     w = weights(*shape, T)
     w.flags.writeable = False
     return w
+
+
+def _weights_once(weights, shape, T):
+    """`_shared_weights` under one lock: threads that miss on one law at
+    once make its weights once, so `spectral` keeps one spectrum for it."""
+    with _weights_lock:
+        return _shared_weights(weights, shape, T)
 
 
 def _frac_weights(d, T):
@@ -179,14 +188,14 @@ def frac_ma_coeffs(p, T):
     Tail behaves like j^{d-1}; all weights negative for j >= 1 when d < 0.
     The array is read-only and shared (`_shared_weights`).
     """
-    return _shared_weights(_frac_weights, (p.d,), T)
+    return _weights_once(_frac_weights, (p.d,), T)
 
 
 def csa_ma_coeffs(p, T):
     """First T MA weights phi_j = sqrt(B(a+j, b) / B(a, b)): positive,
     decreasing, tail ~ j^{-b/2}. The array is read-only and shared
     (`_shared_weights`)."""
-    return _shared_weights(_csa_weights, (p.a, p.b), T)
+    return _weights_once(_csa_weights, (p.a, p.b), T)
 
 
 def acf_frac_lags(p, kmax):

@@ -45,7 +45,9 @@ def _generate_fast(p, T, seed, innovations):
     # one error instead of numpy warnings and a path of nan.
     with np.errstate(over="ignore", invalid="ignore"):
         if innovations is None:
-            nu = p.sigma_eps * np.random.default_rng(seed).standard_normal(T)
+            nu = np.random.default_rng(seed).standard_normal(T)
+            if p.sigma_eps != 1.0:  # scaling by 1.0 is exact, so it is skipped
+                nu *= p.sigma_eps
         else:
             nu = np.asarray(innovations, dtype=float)
             if nu.size != T:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nonfrac import estimate
 from nonfrac.estimate import gph_estimate, periodogram
 from nonfrac.model import FracParams
 from nonfrac.simulate import generate_frac_fast
@@ -61,6 +62,18 @@ class TestPeriodogram:
     def test_too_short(self):
         with pytest.raises(ValueError):
             periodogram(np.ones(3))
+
+    @pytest.mark.parametrize("T", [4, 255, 4096, 10_000])
+    def test_frequencies_read_only_and_shared_per_length(self, T):
+        rng = np.random.default_rng(T)
+        first, second = periodogram(rng.standard_normal(T)), periodogram(rng.standard_normal(T))
+        assert first.frequencies is second.frequencies
+        assert not first.frequencies.flags.writeable
+        with pytest.raises(ValueError):
+            first.frequencies[0] = 0.0
+        m = (T - 1) // 2
+        assert first.frequencies.tobytes() == (2.0 * np.pi * np.arange(1, m + 1) / T).tobytes()
+        assert first.ordinates.flags.writeable and first.ordinates is not second.ordinates
 
 
 class TestGphEstimate:
@@ -147,3 +160,22 @@ class TestGphEstimate:
             gph_estimate(x, bandwidth=2)
         with pytest.raises(ValueError):
             gph_estimate(x, bandwidth=1000)
+
+    @pytest.mark.parametrize("T, bandwidth", [(64, 3), (1000, 31), (10_000, 100), (10_001, 2500)])
+    def test_regressor_memo_is_a_fresh_computation(self, T, bandwidth):
+        reg_c, sxx = estimate._gph_regressor(T, bandwidth)
+        reg = np.log(2.0 * np.pi * np.arange(1, (T - 1) // 2 + 1) / T)[:bandwidth]
+        fresh = reg - reg.mean()
+        assert reg_c.tobytes() == fresh.tobytes() and sxx == float(np.dot(fresh, fresh))
+        assert not reg_c.flags.writeable
+        assert estimate._gph_regressor(T, bandwidth)[0] is reg_c
+
+    def test_memos_bounded_over_20_lengths(self):
+        estimate._fourier_grid.cache_clear()
+        estimate._gph_regressor.cache_clear()
+        rng = np.random.default_rng(12)
+        for T in range(200, 220):
+            gph_estimate(rng.standard_normal(T))
+        for memo in (estimate._fourier_grid, estimate._gph_regressor):
+            info = memo.cache_info()
+            assert info.misses == 20 and info.currsize == estimate._GRID_MEMO_SIZE

@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import beta, betaln, gammaln, gammasgn
 
+from nonfrac import model, spectral
 from nonfrac.model import (
     CsaParams,
     FracParams,
@@ -18,6 +21,7 @@ from nonfrac.model import (
     params_from_dict,
     params_to_dict,
 )
+from nonfrac.spectral import circular_convolve
 from nonfrac.specfun import ConvergenceError, beta_ratio_sequence
 
 
@@ -163,6 +167,34 @@ class TestSharedWeights:
         with pytest.raises(ValueError):
             w[0] = 2.0
         assert w[0] == 1.0
+
+    def test_threads_missing_one_law_at_once_make_it_once(self):
+        # eight threads ask for one cold law together: one miss, one array,
+        # and one spectrum kept for it
+        model._shared_weights.cache_clear()
+        spectral._spectra.clear()
+        p, T = CsaParams(0.37, 1.45), 10_000
+        start = threading.Barrier(8)
+        got = [None] * 8
+
+        def ask(k):
+            start.wait()
+            got[k] = csa_ma_coeffs(p, T)
+            circular_convolve(np.ones(T), got[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(w is got[0] for w in got)
+        assert model._shared_weights.cache_info().misses == 1
+        assert list(spectral._spectra) == [id(got[0])]
 
     def test_laws_do_not_share_an_array(self):
         assert csa_ma_coeffs(CsaParams(0.2, 1.6), 50) is not csa_ma_coeffs(CsaParams(0.2, 1.7), 50)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from nonfrac import simulate
 from nonfrac.model import (
     CsaParams,
     FracParams,
@@ -196,6 +197,44 @@ class TestValidation:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflows"):
                 generate_csa_fast(CsaParams(0.2, 1.6, sigma_eps=sigma), 4096, seed=0)
+
+    def test_finite_path_with_overflowing_sum_accepted(self, monkeypatch):
+        # an FFT-made path keeps its sum in range, so an identity filter
+        # stands in for the convolution and returns the impulses as the path
+        monkeypatch.setattr(simulate, "circular_convolve", lambda nu, w: nu.copy())
+        impulses = np.zeros(16)
+        impulses[[0, 5, 9]] = [1.5e308, 1.7e308, -2e307]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                path = generate_csa_fast(CSA, 16, seed=0, innovations=impulses).values
+        assert path.tobytes() == impulses.tobytes()
+        with np.errstate(over="ignore"):
+            assert np.isfinite(path).all() and path.sum() == np.inf
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("convolve", ["fft", "identity"])
+    def test_non_finite_path_rejected(self, monkeypatch, bad, convolve):
+        if convolve == "identity":  # one bad value among finite ones reaches the check
+            monkeypatch.setattr(simulate, "circular_convolve", lambda nu, w: nu.copy())
+        innovations = np.ones(64)
+        innovations[7] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows") as info:
+                generate_frac_fast(FracParams(0.3), 64, seed=0, innovations=innovations)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("sigma", [1.0, 1.5])
+    def test_draw_is_sigma_times_standard_normal(self, monkeypatch, sigma):
+        p = CsaParams(0.2, 1.6, sigma_eps=sigma)
+        drawn = []
+        convolve = simulate.circular_convolve
+        monkeypatch.setattr(simulate, "circular_convolve", lambda nu, w: drawn.append(nu.copy()) or convolve(nu, w))
+        path = generate_csa_fast(p, 1000, seed=17).values
+        expected = sigma * np.random.default_rng(17).standard_normal(1000)
+        assert drawn[0].tobytes() == expected.tobytes()
+        assert path.tobytes() == convolve(expected, csa_ma_coeffs(p, 1000)).tobytes()
 
     def test_overflowing_naive_path_rejected(self):
         with warnings.catch_warnings():

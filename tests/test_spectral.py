@@ -156,6 +156,21 @@ class TestSpectrumCache:
             assert call(y.copy()).tobytes() == cold
         assert len(spectral._spectra) == 1
 
+    def test_kept_spectra_and_operands_are_never_written(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal(1000)
+        y, z = _read_only(rng.standard_normal(1000)), _read_only(rng.standard_normal(1000))
+        circular_convolve(x, y)
+        circular_convolve(z, x)
+        kept = {id(seq): spectral._spectra[id(seq)][1] for seq in (y, z)}
+        before = {key: s.tobytes() for key, s in kept.items()}
+        x_before = x.tobytes()
+        for a, b in ((x, y), (y, x), (z, x), (y, z), (z, y), (y, y)):
+            circular_convolve(a, b)
+        assert {key: s.tobytes() for key, s in kept.items()} == before
+        assert not any(s.flags.writeable for s in kept.values())
+        assert x.tobytes() == x_before
+
     def test_writeable_operands_and_views_are_never_kept(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(64)
