@@ -139,7 +139,7 @@ def simulate(process, a, b, d, sigma, length, seed, method, units, burnin, out):
     }
     if sample.n_units is not None:
         meta["n_units"] = sample.n_units
-    write_rows(out, meta, [{"value": v} for v in sample.values])
+    write_rows(out, meta, [{"value": sample.values.tolist()}])
 
 
 @main.command()
@@ -164,7 +164,7 @@ def forecast(infile, a, b, sigma, horizon, out):
         "observations": int(x.size),
         "reconstruction_error": result.reconstruction_error,
     }
-    write_rows(out, meta, [{"forecast": v} for v in result.point_forecasts])
+    write_rows(out, meta, [{"forecast": result.point_forecasts.tolist()}])
 
 
 @main.command()
@@ -181,7 +181,7 @@ def acf(process, a, b, d, max_lag, out):
     params = _params(process, a=a, b=b, d=d)
     values = params.acf(max_lag)
     meta = {**params_to_dict(params), "max_lag": max_lag}
-    write_rows(out, meta, [{"acf": v} for v in values])
+    write_rows(out, meta, [{"acf": values.tolist()}])
 
 
 @main.command()

@@ -13,8 +13,8 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -110,62 +110,77 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    rows: tuple  # one dict per (cell, statistic)
+    rows: tuple  # one dict per CSV line
     metadata: dict
+    # the rows as `write_rows` segments, one per cell or series; None: `rows`
+    _segments: tuple = field(default=None, repr=False, compare=False)
 
     def write_csv(self, path):
-        write_rows(path, self.metadata, self.rows)
+        write_rows(path, self.metadata, self.rows if self._segments is None else self._segments)
 
     def write_json(self, path):
         payload = {"metadata": self.metadata, "rows": list(self.rows)}
         _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
-# Rows formatted and written per block, so a large table never holds all of
-# its CSV text at once.
+# Lines formatted and written per block, so a large table never holds all of
+# its CSV lines at once.
 _CSV_BLOCK_ROWS = 4096
 
 
 def write_rows(path, metadata, rows):
     """Write dict rows as CSV: a `#`-prefixed JSON metadata line, a header
-    with every key in first-seen order, then one line per row (a missing key
-    is an empty cell). The file appears atomically."""
-    keys = list(dict.fromkeys(chain.from_iterable(rows)))
+    with every key in first-seen order, then the lines of each row (a missing
+    key is an empty cell). The file appears atomically.
+
+    A row is a segment: its `list` fields are columns of one length n and
+    its other fields are constant over those n lines; a row with no list
+    field is one line, and one with empty lists none (its keys then stay out
+    of the header). Each constant is formatted once per row and each list
+    once per list object, however many rows share it."""
+    segments = [(row, n) for row in rows if (n := _segment_length(row))]
+    keys = list(dict.fromkeys(chain.from_iterable(row for row, _ in segments)))
+    cells = {}  # id(list) -> its items' CSV cells
+
+    def cells_of(column):
+        if id(column) not in cells:
+            cells[id(column)] = list(map(_csv_cell, column))
+        return cells[id(column)]
+
+    def lines(row, n):
+        columns = [
+            cells_of(v) if type(v) is list else repeat(_csv_cell(v), n) for v in map(row.get, keys)
+        ]
+        return map(",".join, zip(*columns)) if columns else repeat("", n)
 
     def blocks():
         yield "# " + json.dumps(metadata, sort_keys=True) + "\n" + ",".join(keys) + "\n"
-        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = rows[start : start + _CSV_BLOCK_ROWS]
-            if keys:
-                columns = [_column_text([row.get(k) for row in block]) for k in keys]
-                lines = map(",".join, zip(*columns))
-            else:
-                lines = [""] * len(block)
-            yield "\n".join(lines) + "\n"
+        pending = chain.from_iterable(lines(row, n) for row, n in segments)
+        while block := list(islice(pending, _CSV_BLOCK_ROWS)):
+            yield "\n".join(block) + "\n"
 
     _atomic_write(path, blocks())
 
 
-# Exact types whose cells print as `_csv_cell` prints them, without its
-# per-cell type checks.
-_COLUMN_FORMAT = {float: float.__repr__, int: int.__repr__, str: str}
+def _segment_length(row):
+    """The common length of a row's list fields, 1 when it has none."""
+    lengths = {k: len(v) for k, v in row.items() if type(v) is list}
+    if len(set(lengths.values())) > 1:
+        fields = ", ".join(f"{k} ({n})" for k, n in lengths.items())
+        raise ValueError(f"the list fields of a row differ in length: {fields}")
+    return next(iter(lengths.values()), 1)
 
 
-def _column_text(values):
-    """The CSV cells of one column. A column of one exact type among float,
-    int and str (with None gaps) formats each distinct value once with that
-    type's own method; any other column, for instance one mixing 1, 1.0 and
-    True or holding numpy scalars, goes cell by cell."""
-    kinds = set(map(type, values))
-    kinds.discard(type(None))
-    fmt = _COLUMN_FORMAT.get(kinds.pop()) if len(kinds) == 1 else None
-    if fmt is None:
-        return list(map(_csv_cell, values))
-    distinct = dict.fromkeys(values)
-    if fmt is float.__repr__ and 0.0 in distinct:  # -0.0 == 0.0 but prints apart
-        return ["" if v is None else fmt(v) for v in values]
-    text = {v: "" if v is None else fmt(v) for v in distinct}
-    return list(map(text.__getitem__, values))
+def _segment_rows(segment):
+    """The rows of a segment, one dict per CSV line, keys in its order."""
+    if list not in map(type, segment.values()):  # one line, the segment itself
+        return (segment,)
+    columns = [(k, v) for k, v in segment.items() if type(v) is list]
+    rows = [segment.copy() for _ in columns[0][1]]
+    for key, column in columns:
+        for row, value in zip(rows, column):
+            row[key] = value
+    return rows
 
 
 def _csv_cell(v):
@@ -212,12 +227,13 @@ def run_experiment(cfg, workers=None):
     if workers is None:
         workers = os.cpu_count() or 1
     if cfg.experiment in _MONTE_CARLO:
-        grid_of, statistic, rows_of = _MONTE_CARLO[cfg.experiment]
+        grid_of, statistic, segments_of = _MONTE_CARLO[cfg.experiment]
         grid = grid_of(cfg)
         per_cell, processes, threads = _replicate_cells(cfg, grid, statistic, workers)
-        rows = rows_of(cfg, grid, per_cell)
+        segments = segments_of(cfg, grid, per_cell)
     else:
-        rows, processes, threads = _ANALYTIC[cfg.experiment](cfg), 1, 1
+        segments, processes, threads = _ANALYTIC[cfg.experiment](cfg), 1, 1
+    rows = tuple(chain.from_iterable(map(_segment_rows, segments)))
     metadata = {
         "config": cfg.describe(),
         "wall_seconds": round(time.perf_counter() - t0, 3),
@@ -225,7 +241,7 @@ def run_experiment(cfg, workers=None):
         "workers": processes,
         "threads": threads,
     }
-    return ExperimentResult(rows=tuple(rows), metadata=metadata)
+    return ExperimentResult(rows=rows, metadata=metadata, _segments=tuple(segments))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +259,7 @@ def _d_hat(x):
 
 
 def _ordinates(x):
-    # a finite path can overflow its periodogram; `_mean_periodogram_rows` says so
+    # a finite path can overflow its periodogram; `_mean_periodogram_segments` says so
     with np.errstate(over="ignore", invalid="ignore"):
         return periodogram(x).ordinates
 
@@ -368,8 +384,8 @@ def _replicate_threaded(tasks, threads):
     return results
 
 
-def _table1_rows(cfg, grid, per_cell):
-    rows = []
+def _table1_segments(cfg, grid, per_cell):
+    segments = []
     for cell_index, (params, d_hats) in enumerate(zip(grid, per_cell)):
         d_hats = np.array(d_hats)
         stats = {
@@ -378,9 +394,16 @@ def _table1_rows(cfg, grid, per_cell):
             "count": d_hats.size,
         }
         base = params_to_dict(params)
-        for stat, value in stats.items():
-            rows.append({"cell": cell_index, **base, "nominal_d": params.memory_d, "statistic": stat, "value": value})
-    return rows
+        segments.append(
+            {
+                "cell": cell_index,
+                **base,
+                "nominal_d": params.memory_d,
+                "statistic": list(stats),
+                "value": list(stats.values()),
+            }
+        )
+    return segments
 
 
 # ---------------------------------------------------------------------------
@@ -433,21 +456,11 @@ def _run_fig_acf_shortmem(cfg):
     grid = cfg.parameter_grid or tuple(
         CsaParams(a=a, b=1.6) for a in (0.1, 0.5, 1.0, 2.0)
     )
-    lags = 50
-    rows = []
-    for cell_index, p in enumerate(grid):
-        for lag, value in enumerate(p.acf(lags)):
-            rows.append(
-                {
-                    "cell": cell_index,
-                    "a": p.a,
-                    "b": p.b,
-                    "lag": lag,
-                    "statistic": "acf",
-                    "value": float(value),
-                }
-            )
-    return rows
+    lags = list(range(51))
+    return [
+        {"cell": cell_index, "a": p.a, "b": p.b, "lag": lags, "statistic": "acf", "value": p.acf(50).tolist()}
+        for cell_index, p in enumerate(grid)
+    ]
 
 
 def _sample_acf(x, max_lag):
@@ -469,26 +482,23 @@ def _run_fig_filter_match(cfg):
         "frac": generate_frac_fast(frac, T, seed, innovations=eps).values,
         "csa": generate_csa_fast(csa, T, seed, innovations=eps).values,
     }
-    rows = []
+    times, lags = list(range(T)), list(range(51))
+    segments = []
     for name, values in series.items():
-        for t, v in enumerate(values):
-            rows.append({"series": name, "index": t, "statistic": "value", "value": float(v)})
-        for lag, v in enumerate(_sample_acf(values, 50)):
-            rows.append({"series": name, "index": lag, "statistic": "sample_acf", "value": float(v)})
-    return rows
+        segments.append({"series": name, "index": times, "statistic": "value", "value": values.tolist()})
+        segments.append(
+            {"series": name, "index": lags, "statistic": "sample_acf", "value": _sample_acf(values, 50).tolist()}
+        )
+    return segments
 
 
 def _run_fig_antipersistence_acf(cfg):
     grid = cfg.parameter_grid or (FracParams(d=-0.2), CsaParams(a=0.09, b=2.4))
-    lags = 110
-    rows = []
-    for cell_index, p in enumerate(grid):
-        base = params_to_dict(p)
-        for lag, value in enumerate(p.acf(lags)):
-            rows.append(
-                {"cell": cell_index, **base, "lag": lag, "statistic": "acf", "value": float(value)}
-            )
-    return rows
+    lags = list(range(111))
+    return [
+        {"cell": cell_index, **params_to_dict(p), "lag": lags, "statistic": "acf", "value": p.acf(110).tolist()}
+        for cell_index, p in enumerate(grid)
+    ]
 
 
 def _mean_periodogram_grid(cfg):
@@ -499,21 +509,25 @@ def _mean_periodogram_grid(cfg):
     )
 
 
-def _mean_periodogram_rows(cfg, grid, per_cell):
+def _mean_periodogram_segments(cfg, grid, per_cell):
     m = (cfg.sample_size - 1) // 2
     freqs = (2.0 * np.pi * np.arange(1, m + 1) / cfg.sample_size).tolist()
-    rows = []
+    segments = []
     for cell_index, (params, ordinates) in enumerate(zip(grid, per_cell)):
         with np.errstate(over="ignore", invalid="ignore"):
             mean_pgram = np.mean(np.stack(ordinates), axis=0)
         if not np.isfinite(mean_pgram).all():
             raise ValueError(f"the mean periodogram of {params} overflows a float; use a smaller sigma")
-        base = params_to_dict(params)
-        rows.extend(
-            {"cell": cell_index, **base, "frequency": freq, "statistic": "mean_periodogram", "value": value}
-            for freq, value in zip(freqs, mean_pgram.tolist())
+        segments.append(
+            {
+                "cell": cell_index,
+                **params_to_dict(params),
+                "frequency": freqs,
+                "statistic": "mean_periodogram",
+                "value": mean_pgram.tolist(),
+            }
         )
-    return rows
+    return segments
 
 
 def _run_fig_ar1_loss(cfg):
@@ -536,11 +550,12 @@ def _run_fig_ar1_loss(cfg):
     return rows
 
 
-# Monte Carlo experiments: (grid, statistic of one path, rows from the
-# per-cell statistics); the replications of all cells run together.
+# Monte Carlo experiments: (grid, statistic of one path, `write_rows`
+# segments from the per-cell statistics); the replications of all cells run
+# together.
 _MONTE_CARLO = {
-    "table1": (_table1_grid, _d_hat, _table1_rows),
-    "fig_mean_periodogram": (_mean_periodogram_grid, _ordinates, _mean_periodogram_rows),
+    "table1": (_table1_grid, _d_hat, _table1_segments),
+    "fig_mean_periodogram": (_mean_periodogram_grid, _ordinates, _mean_periodogram_segments),
 }
 
 _ANALYTIC = {

@@ -636,3 +636,149 @@ class TestResultWriters:
             harness.write_rows(path, metadata, rows)
         assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
         assert path.read_text() == "old\n"
+
+
+def _expanded(rows):
+    """One dict per CSV line, made without the writer: each list field
+    indexed line by line; a row with empty lists has no line."""
+    out = []
+    for row in rows:
+        lengths = {len(v) for v in row.values() if isinstance(v, list)}
+        n = lengths.pop() if lengths else 1
+        out.extend({k: v[i] if isinstance(v, list) else v for k, v in row.items()} for i in range(n))
+    return out
+
+
+_CELL = st.none() | st.booleans() | st.integers() | st.floats() | st.text(alphabet="xy z", max_size=3)
+_SEGMENT = st.integers(min_value=0, max_value=4).flatmap(
+    lambda n: st.dictionaries(
+        st.sampled_from("abcde"), _CELL | st.lists(_CELL, min_size=n, max_size=n), max_size=4
+    )
+)
+
+
+class TestSegments:
+    """`write_rows` rows whose list fields are columns over several lines."""
+
+    def test_golden_bytes(self, tmp_path, monkeypatch):
+        # the rows of TestResultWriters.test_golden_bytes, as two segments
+        # that each span a block boundary
+        monkeypatch.setattr(harness, "_CSV_BLOCK_ROWS", 2)
+        segments = [
+            {
+                "f": [0.1, 1e-300, None],
+                "i": [3, -7, None],
+                "s": ["x", "y z", None],
+                "mix": [1, 1.0, True],
+                "zero": [0.0, -0.0, float("nan")],
+                "np": [np.float64(0.25), np.int64(4), None],
+                "b": [None, True, False],
+            },
+            {
+                "f": [2.5, 0.1],
+                "i": [10**20, 3],
+                "s": ["", "x"],
+                "mix": [None, 1],
+                "zero": [float("inf"), -float("inf")],
+                "np": [None, np.float64(-0.0)],
+                "b": None,
+            },
+        ]
+        path = tmp_path / "g.csv"
+        harness.write_rows(path, {"b": 1, "a": [0.5, None]}, segments)
+        assert path.read_bytes() == (
+            b'# {"a": [0.5, null], "b": 1}\n'
+            b"f,i,s,mix,zero,np,b\n"
+            b"0.1,3,x,1,0.0,0.25,\n"
+            b"1e-300,-7,y z,1.0,-0.0,4,True\n"
+            b",,,True,nan,,False\n"
+            b"2.5,100000000000000000000,,,inf,,\n"
+            b"0.1,3,x,1,-inf,-0.0,\n"
+        )
+
+    def test_constant_cells(self, tmp_path):
+        segment = {
+            "none": None,
+            "neg": -0.0,
+            "nan": float("nan"),
+            "inf": -float("inf"),
+            "npf": np.float64(0.25),
+            "npi": np.int64(4),
+            "flag": True,
+            "mix": [1, 1.0, True, np.float64(-0.0)],
+        }
+        path = tmp_path / "c.csv"
+        harness.write_rows(path, {}, [segment])
+        assert path.read_text() == "# {}\nnone,neg,nan,inf,npf,npi,flag,mix\n" + "".join(
+            f",-0.0,nan,-inf,0.25,4,True,{cell}\n" for cell in ("1", "1.0", "True", "-0.0")
+        )
+
+    def test_unequal_lists_raise_one_line(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^the list fields of a row differ in length: a \(2\), b \(1\)$"):
+            harness.write_rows(tmp_path / "u.csv", {}, [{"k": 0}, {"a": [1, 2], "c": 3, "b": [1]}])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_segment_adds_no_key(self, tmp_path):
+        path = tmp_path / "e.csv"
+        harness.write_rows(path, {}, [{"a": 1}, {"b": [], "c": 2}, {"d": [5]}])
+        assert path.read_text() == "# {}\na,d\n1,\n,5\n"
+
+    def test_segment_spans_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_CSV_BLOCK_ROWS", 2)
+        chunks = []
+        write = harness._atomic_write
+
+        def recording(path, blocks):
+            chunks.extend(blocks)
+            write(path, chunks)
+
+        monkeypatch.setattr(harness, "_atomic_write", recording)
+        path = tmp_path / "s.csv"
+        harness.write_rows(path, {}, [{"k": [0, 1, 2, 3, 4], "c": "x"}, {"k": 5, "c": "y"}])
+        assert chunks == ["# {}\nk,c\n", "0,x\n1,x\n", "2,x\n3,x\n", "4,x\n5,y\n"]
+        assert path.read_text() == "".join(chunks)
+
+    def test_rows_and_segments_mixed(self, tmp_path):
+        freqs = [0.5, 0.25, 0.125]  # one list shared by two segments
+        rows = [
+            {"cell": 0, "x": 1.5},
+            {"cell": 1, "f": freqs, "v": [1, 2.0, None], "tag": "a"},
+            {"cell": 2, "f": freqs, "v": [np.float64(3), -0.0, True]},
+            {"tag": "b"},
+            {"cell": 3, "f": [], "z": 1},
+        ]
+        harness.write_rows(tmp_path / "seg.csv", {"m": 1}, rows)
+        harness.write_rows(tmp_path / "rows.csv", {"m": 1}, _expanded(rows))
+        text = (tmp_path / "seg.csv").read_text()
+        assert text == (tmp_path / "rows.csv").read_text()
+        assert text.splitlines()[1:4] == ["cell,x,f,v,tag", "0,1.5,,,", "1,,0.5,1,a"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_SEGMENT, max_size=5))
+    def test_segments_write_their_rows(self, segments):
+        with tempfile.TemporaryDirectory() as tmp:
+            seg, rows = os.path.join(tmp, "seg.csv"), os.path.join(tmp, "rows.csv")
+            harness.write_rows(seg, {}, segments)
+            harness.write_rows(rows, {}, _expanded(segments))
+            with open(seg, "rb") as a, open(rows, "rb") as b:
+                assert a.read() == b.read()
+
+
+# Experiments whose tables are written as multi-line segments
+_SEGMENTED = {"table1", "fig_mean_periodogram", "fig_filter_match", "fig_acf_shortmem", "fig_antipersistence_acf"}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_csv_of_segments_is_csv_of_rows(tmp_path, experiment):
+    """The table written from an experiment's segments is, byte for byte,
+    the table of its `rows` written one dict per line."""
+    cfg = ExperimentConfig(experiment=experiment, sample_size=64, replications=2, master_seed=3)
+    res = run_experiment(cfg, workers=1)
+    res.write_csv(tmp_path / "seg.csv")
+    harness.write_rows(tmp_path / "rows.csv", res.metadata, res.rows)
+    text = (tmp_path / "seg.csv").read_text()
+    assert text == (tmp_path / "rows.csv").read_text()
+    assert len(text.splitlines()) == 2 + len(res.rows)
+    assert list(res.rows) == _expanded(res._segments)
+    has_lists = any(isinstance(v, list) for segment in res._segments for v in segment.values())
+    assert has_lists == (experiment in _SEGMENTED)
