@@ -12,6 +12,7 @@ the first failing replication, in task order, raised.
 import json
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
@@ -137,12 +138,16 @@ def write_rows(path, metadata, rows):
     its other fields are constant over those n lines; a row with no list
     field is one line, and one with empty lists none (its keys then stay out
     of the header). Each constant is formatted once per row and each list
-    once per list object, however many rows share it."""
+    once per list object: a list that several rows share keeps its cells
+    until the write ends, any other is formatted as its lines are written."""
     segments = [(row, n) for row in rows if (n := _segment_length(row))]
     keys = list(dict.fromkeys(chain.from_iterable(row for row, _ in segments)))
-    cells = {}  # id(list) -> its items' CSV cells
+    uses = Counter(id(v) for row, _ in segments for v in row.values() if type(v) is list)
+    cells = {}  # id(shared list) -> its items' CSV cells
 
     def cells_of(column):
+        if uses[id(column)] == 1:
+            return map(_csv_cell, column)
         if id(column) not in cells:
             cells[id(column)] = list(map(_csv_cell, column))
         return cells[id(column)]
