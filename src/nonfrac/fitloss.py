@@ -3,6 +3,12 @@
 Population fits of AR(p), pure fractional, and ARFIMA(1,d,0) models, with
 the relative one-step forecast error variance zeta of each (>= 1 by
 construction), and the best CSA approximation to an I(d) autocorrelation.
+
+The fractional fits rest on gamma_z, the autocovariance of z = (1 - L)^d x,
+one lag sum over the autocorrelations of x and of I(-d):
+gamma_z(k) = sum_{j in Z} gamma_x(j) gamma*(k - j). Its terms split by the
+parity of j into two classes, each decaying like j^-2 and each completed by
+an algebraic tail.
 """
 
 import math
@@ -12,7 +18,7 @@ import numpy as np
 from scipy.linalg import solve_toeplitz
 
 from .model import CsaParams, FracParams, acf_csa_lags, acf_frac_lags, csa_variance
-from .specfun import hypergeometric_pfq
+from .specfun import MAX_SERIES_TERMS, PFQ_REL_TOL, ConvergenceError, _fitted_tail, beta_ratio_sequence
 
 __all__ = [
     "EfficiencyReport",
@@ -27,6 +33,7 @@ __all__ = [
 MATCH_A_MAX = 5.0
 MATCH_GRID_POINTS = 100
 MATCH_TOL = 1e-8
+_BLOCK = 2**17  # class terms per block of the lag sum: bounds its memory
 
 
 @dataclass(frozen=True)
@@ -78,49 +85,87 @@ def zeta_ar(p, coeffs):
 
 
 def gamma_z(p, k):
-    """Autocovariance at lag k of the d = 1 - b/2 fractional difference of a
-    CSA(a, b) process, for b in (1, 2):
+    """Autocovariance at lag k of z = (1 - L)^d x, the d = 1 - b/2 fractional
+    difference of a CSA(a, b) process x, for b in (1, 2):
 
-    gamma_z(k) = gamma*(k)/B(a,b) [ B(a,b-1)(F1(k) - 1) + B(a+1/2,b-1) F2(k) ]
-               = gamma*(k) (B(a,b-1)/B(a,b)) [ (F1(k) - 1) + rho_1 F2(k) ],
+    gamma_z(k) = sum_{j in Z} gamma_x(j) gamma*(k - j) = gamma_x(0) gamma*(0) S_k,
+    S_k = sum_{j >= 0} rho_j [c_|k-j| + c_{k+j}] - c_k,
 
-    with F1, F2 sums of 4F3 values at unit argument. By the reflection formula
-    gamma*(k) = sigma^2 Gamma(1+2d)/(Gamma(-d)Gamma(1+d)) Gamma(-d-k)/Gamma(1+d-k)
-    is sigma^2 Gamma(1+2d)/Gamma(1+d)^2 times the lag-k autocorrelation of
-    I(-d), that process's autocovariance. A value that overflows a float is
-    a ValueError.
+    with rho the autocorrelations of x (`acf_csa_lags`), c those of I(-d)
+    (`acf_frac_lags`), gamma* = gamma*(0) c the autocovariance of (1 - L)^d
+    applied to unit white noise and gamma*(0) = Gamma(1+2d)/Gamma(1+d)^2.
+    Within each parity class of j the terms decay like j^-2: the even class
+    regroups the 4F3 sums F1(k) + F1(-k) of the series form, the odd class
+    rho_1 (F2(k) + F2(-k)). Each class sum to n terms is completed by the
+    fit of `algebraic_tail_estimate`, for n = 1024, 2048, 4096, ..., and
+    taken once it is stable to a relative PFQ_REL_TOL between n/2 and n;
+    past MAX_SERIES_TERMS terms a class it is a ConvergenceError. The terms
+    are made in blocks, so memory does not grow with the terms summed. A
+    value that overflows a float is a ValueError.
     """
     if not 1.0 < p.b < 2.0:
         raise ValueError(f"gamma_z requires b in (1, 2), got {p.b}")
     if k < 0:
         raise ValueError(f"lag must be >= 0, got {k}")
-    a, b = p.a, p.b
-    d = 1.0 - b / 2.0
+    return _gamma_z_lags(p, (int(k),))[0]
 
-    def f1_branch(s):
-        return hypergeometric_pfq(
-            (1.0, a, (1.0 - d + s) / 2.0, (-d + s) / 2.0),
-            (a + b - 1.0, (2.0 + d + s) / 2.0, (1.0 + d + s) / 2.0),
-        )
 
-    def f2_branch(s):
-        return (-d + s) / (1.0 + d + s) * hypergeometric_pfq(
-            (1.0, a + 0.5, (1.0 - d + s) / 2.0, (2.0 - d + s) / 2.0),
-            (a + b - 0.5, (2.0 + d + s) / 2.0, (3.0 + d + s) / 2.0),
-        )
-
-    f1, f2 = f1_branch(float(k)), f2_branch(float(k))
-    if k == 0:  # the s = k and s = -k branches coincide: sum each once
-        f1, f2 = f1 + f1, f2 + f2
-    else:
-        f1, f2 = f1 + f1_branch(float(-k)), f2 + f2_branch(float(-k))
+def _gamma_z_lags(p, lags):
+    """gamma_z(p, k) for each k in `lags`, from one lag sum over rho and c."""
+    d = 1.0 - p.b / 2.0
+    s = _class_sums(p, lags, d).reshape(-1, 2).sum(axis=1) - acf_frac_lags(FracParams(-d), max(lags))[list(lags)]
     # in Python floats, which overflow to inf without a numpy RuntimeWarning
-    star = math.gamma(1.0 + 2.0 * d) / math.gamma(1.0 + d) ** 2 * float(acf_frac_lags(FracParams(-d), k)[k])
-    bracket = (f1 - 1.0) + float(acf_csa_lags(p, 1)[1]) * f2
-    value = csa_variance(p) * star * bracket
-    if not math.isfinite(value):
-        raise ValueError(f"the lag-{k} autocovariance of the fractional difference of {p} overflows a float")
-    return value
+    scale = csa_variance(p) * (math.gamma(1.0 + 2.0 * d) / math.gamma(1.0 + d) ** 2)
+    values = [scale * float(v) for v in s]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"the autocovariance of the fractional difference of {p} overflows a float")
+    return values
+
+
+def _class_sums(p, lags, d):
+    """The sums over j >= 0 of rho_j [c_|k-j| + c_{k+j}] in rows (k, even j),
+    (k, odd j) for each k in `lags` (see gamma_z).
+
+    Block [m0, m1) makes class terms m0..m1-1, that is j = 2 m0 .. 2 m1 - 1,
+    continuing the product recursions of rho and c from the block before."""
+    a, b = p.a, p.b
+    kmax = max(lags)
+    rho = np.array([1.0, float(acf_csa_lags(p, 1)[1])])  # rho at the block's first even and odd j
+    lo, c_lo = 0, 1.0  # the smallest lag of c the block makes, and its value
+    sums = np.zeros(2 * len(lags))
+    nodes, prev, m0 = {}, None, 0
+    while True:
+        m1 = m0 + min(max(m0, 2048), _BLOCK)  # 2048 terms a class first, then doubling
+        j0, j1 = 2 * m0, 2 * m1
+        i = np.arange(lo, j1 + kmax + 1, dtype=float)
+        c = (i - 1.0 - d) / (i + d)
+        c[0] = c_lo
+        np.cumprod(c, out=c)  # c at lags lo .. j1 + kmax
+        window = c if j0 >= kmax else np.concatenate((c[kmax - j0 : 0 : -1], c))  # c at lags j0 - kmax ..
+        terms = np.empty((len(lags), 2, m1 - m0))
+        r = [rho[q] * beta_ratio_sequence(a + 0.5 * q + m0, b - 1.0, m1 - m0) for q in (0, 1)]
+        for row, k in zip(terms, lags):
+            s = window[kmax + k : kmax + k + j1 - j0] + window[kmax - k : kmax - k + j1 - j0]  # c_{j+k} + c_|j-k|
+            np.multiply(r[0][:-1], s[0::2], out=row[0])
+            np.multiply(r[1][:-1], s[1::2], out=row[1])
+        rho[:] = r[0][-1], r[1][-1]
+        terms = terms.reshape(-1, m1 - m0)
+        for t in range(max(7, m0.bit_length()), m1.bit_length()):  # n = 2^t in (m0, m1]
+            n = 1 << t
+            nodes[t] = terms[:, n - 1 - m0].copy()  # the tail fit's nodes are the class terms 2^t - 1
+            if t >= 10:  # a checkpoint: each class summed to n terms and completed
+                tail = _fitted_tail(np.stack([nodes[t], nodes[t - 1], nodes[t - 2], nodes[t - 3]], axis=1), 2.0, n - 1)
+                total = sums + terms[:, : n - m0].sum(axis=1) + tail
+                if prev is not None and np.all(np.abs(total - prev) <= PFQ_REL_TOL * np.abs(total)):
+                    return total
+                if n > MAX_SERIES_TERMS:
+                    raise ConvergenceError(
+                        f"the lag sum of gamma_z for {p} is not stable to {PFQ_REL_TOL:g} after {n} terms per class"
+                    )
+                prev = total
+        sums += terms.sum(axis=1)
+        next_lo = max(j1 - kmax, 0)
+        lo, c_lo, m0 = next_lo, c[next_lo - lo], m1
 
 
 def zeta_fractional(p):
@@ -132,12 +177,10 @@ def zeta_fractional(p):
     form. The paper displays (gamma_z(0)^2 - gamma_z(1)^2) / gamma_z(0)^2
     = 1 - alpha_I^2 instead; that expression is capped at 1, so it cannot
     be a relative error variance, and it is not computed here. zeta is
-    relative to sigma_eps^2, so gamma_z is taken at sigma_eps = 1; the
-    reports carry the caller's p.
+    relative to sigma_eps^2, so gamma_z is taken at sigma_eps = 1, both lags
+    from one lag sum; the reports carry the caller's p.
     """
-    unit = CsaParams(p.a, p.b)
-    g0 = gamma_z(unit, 0)
-    g1 = gamma_z(unit, 1)
+    g0, g1 = _gamma_z_lags(CsaParams(p.a, p.b), (0, 1))
     alpha_i = g1 / g0
     pure = EfficiencyReport(model="pure_frac", fitted_params=(), zeta=g0, csa=p)
     arfima = EfficiencyReport(

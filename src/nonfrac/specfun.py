@@ -1,6 +1,8 @@
 """Special-function kernel: Beta- and Gamma-function ratios, algebraic series
 tails, and one summer of series given by their term ratio, which also sums
-hypergeometric series at unit argument.
+hypergeometric series at unit argument. `hypergeometric_pfq` has no caller
+in the package, whose gamma_z is a lag sum (fitloss); it stays public as an
+oracle for that sum, whose series form is a sum of 4F3 values.
 
 Everything here is pure and thread-safe. The Beta ratios are computed by
 telescoping products rather than Gamma calls so they stay finite for very
@@ -63,8 +65,9 @@ def algebraic_tail_estimate(terms, exponent, n_last):
 
     Fits t_n = n^{-exponent} (c0 + c1/n + c2/n^2 + c3/n^3) at four dyadic
     nodes up to n_last and sums the fitted tail exactly with scipy's Hurwitz
-    zeta.
-    Requires exponent > 1 and n_last >= 8. Returns 0.0 when the fit's
+    zeta. A 2-D `terms` holds one series per row and gives an array of one
+    tail per row, from one solve.
+    Requires exponent > 1 and n_last >= 8. A tail is 0.0 when the fit's
     design underflows.
     """
     if exponent <= 1:
@@ -73,17 +76,23 @@ def algebraic_tail_estimate(terms, exponent, n_last):
         )
     if n_last < 8:
         raise ValueError("need at least 8 terms for the tail fit")
-    nodes = np.array([n_last, n_last // 2, n_last // 4, n_last // 8], dtype=float)
-    tvals = np.array([terms[int(n)] for n in nodes])
+    return _fitted_tail(np.asarray(terms)[..., n_last >> np.arange(4)], exponent, n_last)
+
+
+def _fitted_tail(tvals, exponent, n_last):
+    """`algebraic_tail_estimate` from the terms at its nodes n_last >> i,
+    i = 0..3, along the last axis of `tvals`."""
+    nodes = (n_last >> np.arange(4)).astype(float)
     design = nodes[:, None] ** (-exponent - np.arange(4)[None, :])
     try:
-        coeffs = np.linalg.solve(design, tvals)
+        coeffs = np.linalg.solve(design, tvals.T)
     except np.linalg.LinAlgError:
         # n_last^-(exponent+3) underflowed to 0, which for n_last < 2^24
         # needs an exponent above 40: terms falling by 2^-exponent per
         # doubling of n leave a tail far below the partial sum's last bit
-        return 0.0
-    return float(np.dot(coeffs, zeta(exponent + np.arange(4), n_last + 1.0)))
+        return 0.0 if tvals.ndim == 1 else np.zeros(len(tvals))
+    tail = zeta(exponent + np.arange(4), n_last + 1.0) @ coeffs
+    return float(tail) if tvals.ndim == 1 else tail
 
 
 def hypergeometric_pfq(num, den):

@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -206,6 +207,22 @@ class TestFitMatch:
         res = runner.invoke(main, ["fit", "--a", "0.5", "--b", "1.6", "--model", "fractional"])
         assert res.exit_code == 0
         assert "model=i(d)" in res.output and "arfima" in res.output
+
+    def test_fit_fractional_without_convergence(self, runner):
+        # near a unit root the lag sum of gamma_z does not settle in 2^24 terms a
+        # class: exit 1, one line; the terms are made in blocks, so the memory
+        # held stays flat however many are summed
+        tracemalloc.start()
+        try:
+            res = runner.invoke(main, ["fit", "--a", "1e8", "--b", "1.5", "--model", "fractional"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.exit_code == 1, res.output
+        lines = res.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: the lag sum of gamma_z")
+        assert "Traceback" not in res.output
+        assert peak < 64 * 2**20
 
     def test_fit_fractional_bad_b(self, runner):
         res = runner.invoke(main, ["fit", "--a", "0.5", "--b", "2.5", "--model", "fractional"])

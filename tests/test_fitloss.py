@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import toeplitz
 from scipy.signal import fftconvolve
 
+from nonfrac import fitloss
 from nonfrac.fitloss import (
     approximation_loss,
     best_matching_a,
@@ -13,13 +14,34 @@ from nonfrac.fitloss import (
     zeta_ar,
     zeta_fractional,
 )
+from nonfrac.harness import TABLE_A_GRID, TABLE_B_GRID
 from nonfrac.model import (
     CsaParams,
     FracParams,
     acf_csa_lags,
+    acf_frac_lags,
     csa_variance,
     frac_ma_coeffs,
 )
+from nonfrac.specfun import ConvergenceError, hypergeometric_pfq
+
+
+def series_gamma_z(p, k, hyper):
+    """gamma_z(k) in its series form, with `hyper(num, den)` the (q+1)Fq sum at
+    unit argument: gamma*(k)/B(a,b) [B(a,b-1)(F1(k) + F1(-k) - 1) +
+    B(a+1/2,b-1)(F2(k) + F2(-k))], F1 and F2 4F3 values. Returns gamma*(k)
+    and the bracket over B(a,b-1)/B(a,b) = (a+b-1)/(b-1)."""
+    a, b = p.a, p.b
+    d = 1.0 - b / 2.0
+
+    def f1(s):
+        return hyper([1, a, (1 - d + s) / 2, (-d + s) / 2], [a + b - 1, (2 + d + s) / 2, (1 + d + s) / 2])
+
+    def f2(s):
+        return (-d + s) / (1 + d + s) * hyper(
+            [1, a + 0.5, (1 - d + s) / 2, (2 - d + s) / 2], [a + b - 0.5, (2 + d + s) / 2, (3 + d + s) / 2])
+
+    return f1(k) + f1(-k) - 1, f2(k) + f2(-k)
 
 
 class TestFitArPopulation:
@@ -147,28 +169,43 @@ class TestGammaZ:
             )
             assert gamma_z(p, k) == pytest.approx(brute, abs=2e-5)
 
+    def test_against_4f3_series(self):
+        # the lag sum regroups the series form: even j give F1(k) + F1(-k),
+        # odd j rho_1 (F2(k) + F2(-k)); here that form summed by hypergeometric_pfq
+        for a in TABLE_A_GRID:
+            for b in TABLE_B_GRID:
+                p = CsaParams(a, b)
+                d = p.memory_d
+                star = math.gamma(1 + 2 * d) / math.gamma(1 + d) ** 2 * acf_frac_lags(FracParams(-d), 2)
+                rho1 = acf_csa_lags(p, 1)[1]
+                for k in (0, 1, 2):
+                    f1, f2 = series_gamma_z(p, k, hypergeometric_pfq)
+                    ref = csa_variance(p) * star[k] * (f1 + rho1 * f2)
+                    assert gamma_z(p, k) == pytest.approx(ref, rel=1e-12), (a, b, k)
+
     def test_against_mpmath(self):
         mp = pytest.importorskip("mpmath")
-        p = CsaParams(0.9, 1.4)
-        a, b = p.a, p.b
-        d = 1.0 - b / 2.0
 
-        def f1(s):
-            return mp.hyper([1, a, (1 - d + s) / 2, (-d + s) / 2],
-                            [a + b - 1, (2 + d + s) / 2, (1 + d + s) / 2], 1)
-
-        def f2(s):
-            return (-d + s) / (1 + d + s) * mp.hyper(
-                [1, a + 0.5, (1 - d + s) / 2, (2 - d + s) / 2],
-                [a + b - 0.5, (2 + d + s) / 2, (3 + d + s) / 2], 1)
-
-        for k in (0, 1, 2):
+        def ref(p, k):
+            a, b = p.a, p.b
+            d = 1.0 - b / 2.0
+            f1, f2 = series_gamma_z(p, k, lambda num, den: mp.hyper(num, den, 1))
             star = (mp.gamma(1 + 2 * d) / (mp.gamma(-d) * mp.gamma(1 + d))
                     * mp.gamma(-d - k) / mp.gamma(1 + d - k))
-            ref = float(star / mp.beta(a, b) * (
-                mp.beta(a, b - 1) * (f1(k) + f1(-k) - 1)
-                + mp.beta(a + 0.5, b - 1) * (f2(k) + f2(-k))))
-            assert gamma_z(p, k) == pytest.approx(ref, rel=1e-11)
+            return float(star / mp.beta(a, b) * (mp.beta(a, b - 1) * f1 + mp.beta(a + 0.5, b - 1) * f2))
+
+        for a, b in ((0.9, 1.4), (0.1, 1.1), (1.7, 1.8), (10.0, 1.02)):
+            for k in (0, 1, 2):
+                assert gamma_z(CsaParams(a, b), k) == pytest.approx(ref(CsaParams(a, b), k), rel=1e-11), (a, b, k)
+        # more of the lag sum cancels at a far lag: S_50 is 1.3% of the sum
+        # of its terms' magnitudes, where S_0 is 28%
+        assert gamma_z(CsaParams(0.5, 1.6), 50) == pytest.approx(ref(CsaParams(0.5, 1.6), 50), rel=1e-9)
+
+    def test_term_budget(self, monkeypatch):
+        # (1000, 1.5) needs 2^18 terms a class; a budget of 10^4 refuses it
+        monkeypatch.setattr(fitloss, "MAX_SERIES_TERMS", 10**4)
+        with pytest.raises(ConvergenceError, match="after 16384 terms"):
+            gamma_z(CsaParams(1000.0, 1.5), 0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -103,6 +103,23 @@ class TestZeta:
         terms = np.concatenate([[0.0], np.arange(1.0, n_last + 1) ** -100.0])
         assert algebraic_tail_estimate(terms, 100.0, n_last) == 0.0
 
+    def test_rows_are_their_one_dimensional_tails(self):
+        # one solve for all rows gives each row its own tail, to rounding; a
+        # row whose terms underflow to 0.0 at every node has no tail
+        n_last = 4096
+        n = np.arange(n_last + 1.0)
+        n[0] = 1.0
+        rows = np.stack([n**-2.0, n**-2.0 * (1.0 + 0.5 / n), -3.0 * (n + 0.5) ** -2.0, n**-400.0])
+        tails = algebraic_tail_estimate(rows, 2.0, n_last)
+        assert tails.shape == (4,) and tails[3] == 0.0
+        for row, tail in zip(rows, tails):
+            assert tail == pytest.approx(algebraic_tail_estimate(row, 2.0, n_last), rel=1e-14, abs=0.0)
+
+    def test_rows_with_an_underflowing_design(self):
+        n_last = 4096
+        rows = np.concatenate([[0.0], np.arange(1.0, n_last + 1) ** -100.0]) * np.ones((3, 1))
+        assert algebraic_tail_estimate(rows, 100.0, n_last).tolist() == [0.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("s", [1.0, 0.5, -2.0])
     def test_domain_error(self, s):
         with pytest.raises(ConvergenceError):
