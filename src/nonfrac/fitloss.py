@@ -107,7 +107,7 @@ def gamma_z(p, k):
         raise ValueError(f"gamma_z requires b in (1, 2), got {p.b}")
     if k < 0:
         raise ValueError(f"lag must be >= 0, got {k}")
-    return _gamma_z_lags(p, (int(k),))[0]
+    return _gamma_z_lags(p, (k,))[0]
 
 
 def _gamma_z_lags(p, lags):
